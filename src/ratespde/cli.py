@@ -257,6 +257,8 @@ def _build_solver_output(
     nu = _parse_scalar(nu_raw, float, "a number") if nu_raw else None
     threads_raw = raw.take("solver", "threads")
     threads = _parse_scalar(threads_raw, int, "an integer") if threads_raw else None
+    if threads is not None and threads < 1:
+        raise ConfigError("threads must be at least 1", threads_raw[1])
     cap_raw = raw.take("solver", "max_nodes")
     max_nodes = _parse_scalar(cap_raw, int, "an integer") if cap_raw else DEFAULT_MAX_NODES
     csv_raw = raw.take("output", "csv")
@@ -456,9 +458,16 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("config", help="path to a run configuration file")
     parser.add_argument("--csv", metavar="PATH", help="override the CSV output path")
-    parser.add_argument("--threads", type=int, metavar="K", help="worker threads for component grids")
+    parser.add_argument(
+        "--threads",
+        type=int,
+        metavar="K",
+        help="worker processes for component-grid solves (default: cpu count; 1 solves in-process)",
+    )
     parser.add_argument("--quiet", action="store_true", help="suppress the text table")
     args = parser.parse_args(argv)
+    if args.threads is not None and args.threads < 1:
+        parser.error(f"argument --threads: must be at least 1, got {args.threads}")
 
     try:
         with open(args.config, "r", encoding="utf-8") as fh:

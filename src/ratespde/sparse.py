@@ -15,10 +15,12 @@ combined accuracy.  Keep psi at 1 or 2: the point count grows by 2^(d*psi).
 from __future__ import annotations
 
 import csv
+import functools
 import math
+import multiprocessing
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -171,6 +173,25 @@ class SparseResult:
     seconds: float
 
 
+def _solve_term(
+    term: CombinationTerm,
+    market: MarketData,
+    product: ProductSpec,
+    domain: DomainSpec,
+    config: AmfrW2Config,
+    max_nodes: int | None,
+) -> ComponentResult:
+    """One component solve; module-level so a worker process can run it."""
+    started = time.perf_counter()
+    value = solve_component_grid(
+        term.levels, market, product, domain, config, max_nodes=max_nodes
+    )
+    shape = shape_for_levels(term.levels, product, domain)
+    return ComponentResult(
+        term.levels, term.weight, value, time.perf_counter() - started, shape.total_points
+    )
+
+
 def combine(
     plan: CombinationPlan,
     market: MarketData,
@@ -183,32 +204,44 @@ def combine(
 ) -> SparseResult:
     """Solve every component grid and reduce the weighted prices.
 
-    Component solves run concurrently; the reduction happens afterwards
-    in plan order, so the combined value does not depend on scheduling.
+    ``threads`` is the number of worker processes (default: the cpu
+    count), capped at the number of components; with one worker the
+    components are solved in this process.  Every component is checked
+    against ``max_nodes`` before any solve starts.  Workers are forked,
+    so they see the engine exactly as this process does.  The first
+    component to fail in plan order raises ``ComponentSolveError`` and
+    cancels the solves not yet started.  The reduction happens in plan
+    order, so the combined value does not depend on the worker count.
     """
     if plan.dims != product.dimension:
         raise ValueError(f"plan is {plan.dims}-dimensional, product needs {product.dimension}")
-
-    def solve_one(term: CombinationTerm) -> ComponentResult:
-        started = time.perf_counter()
-        value = solve_component_grid(
-            term.levels, market, product, domain, config, max_nodes=max_nodes
-        )
-        shape = shape_for_levels(term.levels, product, domain)
-        return ComponentResult(
-            term.levels, term.weight, value, time.perf_counter() - started, shape.total_points
-        )
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    if max_nodes is not None:
+        for term in plan.terms:
+            points = shape_for_levels(term.levels, product, domain).total_points
+            if points > max_nodes:
+                raise ComponentSolveError(term.levels) from GridTooLargeError(points, max_nodes)
 
     started = time.perf_counter()
-    workers = threads if threads is not None else (os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        futures = [pool.submit(solve_one, term) for term in plan.terms]
+    workers = min(threads if threads is not None else (os.cpu_count() or 1), len(plan))
+    args = (market, product, domain, config, max_nodes)
+    pool = None
+    try:
+        if workers > 1:
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+            pending = [pool.submit(_solve_term, term, *args).result for term in plan.terms]
+        else:
+            pending = [functools.partial(_solve_term, term, *args) for term in plan.terms]
         components = []
-        for term, future in zip(plan.terms, futures):
+        for term, result in zip(plan.terms, pending):
             try:
-                components.append(future.result())
+                components.append(result())
             except Exception as err:
                 raise ComponentSolveError(term.levels) from err
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     value = 0.0
     for comp in components:
         value += comp.weight * comp.value_bps

@@ -112,6 +112,13 @@ class TestParse:
         cfg = parse_config(MINIMAL_CAPLET + "\n[output]\nreference = 13.002003\n")
         assert cfg.reference == 13.002003
 
+    def test_nonpositive_threads_rejected_with_line(self):
+        for threads in ("0", "-3"):
+            text = SPARSE_CAPLET + f"threads = {threads}\n"
+            line = len(text.splitlines())
+            with pytest.raises(ConfigError, match=f"line {line}: threads must be at least 1"):
+                parse_config(text)
+
     def test_sparse_level_must_fit_dimension(self):
         text = SPARSE_CAPLET.replace("levels = 5", "levels = 0")
         with pytest.raises(ConfigError, match="too small"):
@@ -234,6 +241,14 @@ class TestMain:
         assert main([str(config), "--csv", str(csv_path), "--threads", "1", "--quiet"]) == 0
         assert csv_path.exists()
         assert capsys.readouterr().out == ""
+
+    def test_zero_threads_option_rejected(self, tmp_path, capsys):
+        config = tmp_path / "run.txt"
+        config.write_text(SPARSE_CAPLET)
+        with pytest.raises(SystemExit) as exit_info:
+            main([str(config), "--threads", "0", "--quiet"])
+        assert exit_info.value.code == 2
+        assert "--threads: must be at least 1" in capsys.readouterr().err
 
     def test_infeasible_grid_fails_cleanly(self, tmp_path, capsys):
         config = tmp_path / "run.txt"

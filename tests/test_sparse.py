@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -222,6 +223,63 @@ class TestCombine:
             combine(plan, market_flat, caplet, caplet_domain, cfg, max_nodes=200)
         assert err.value.levels in {t.levels for t in plan.terms}
         assert isinstance(err.value.__cause__, GridTooLargeError)
+
+    def test_oversized_component_rejected_before_any_solve(
+        self, market_flat, caplet, caplet_domain, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(
+            sparse_mod, "solve_component_grid", lambda levels, *a, **k: calls.append(levels) or 1.0
+        )
+        plan = standard_plan(8, 2)
+        cap = 200
+        oversized = [
+            t.levels
+            for t in plan.terms
+            if shape_for_levels(t.levels, caplet, caplet_domain).total_points > cap
+        ]
+        assert 0 < len(oversized) < len(plan)
+        with pytest.raises(ComponentSolveError) as err:
+            combine(
+                plan, market_flat, caplet, caplet_domain, AmfrW2Config(num_steps=1),
+                threads=1, max_nodes=cap,
+            )
+        assert calls == []
+        assert err.value.levels == oversized[0]
+        assert isinstance(err.value.__cause__, GridTooLargeError)
+        assert err.value.__cause__.cap == cap
+
+    def test_first_failure_cancels_pending_solves(
+        self, market_flat, caplet, caplet_domain, monkeypatch, tmp_path
+    ):
+        # workers are forked, so they run this stub; each call leaves a line in a
+        # shared log because the workers' memory is not the test's
+        plan = standard_plan(8, 2)
+        failing = plan.terms[0].levels
+        log = tmp_path / "calls.log"
+
+        def stub(levels, *args, **kwargs):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{levels}\n")
+            if levels == failing:
+                raise FloatingPointError("non-finite stage value")
+            time.sleep(0.2)
+            return 1.0
+
+        monkeypatch.setattr(sparse_mod, "solve_component_grid", stub)
+        with pytest.raises(ComponentSolveError) as err:
+            combine(plan, market_flat, caplet, caplet_domain, AmfrW2Config(num_steps=1), threads=2)
+        assert err.value.levels == failing
+        assert isinstance(err.value.__cause__, FloatingPointError)
+        assert len(log.read_text().splitlines()) < len(plan)
+
+    def test_nonpositive_threads_rejected(self, market_flat, caplet, caplet_domain):
+        for threads in (0, -3):
+            with pytest.raises(ValueError, match="threads"):
+                combine(
+                    standard_plan(4, 2), market_flat, caplet, caplet_domain,
+                    AmfrW2Config(num_steps=1), threads=threads,
+                )
 
     def test_result_bookkeeping(self, market_flat, caplet, caplet_domain):
         cfg = AmfrW2Config(num_steps=2)
