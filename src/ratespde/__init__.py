@@ -7,7 +7,6 @@ implicit time stepper built on directional tridiagonal solves, and
 optionally a sparse-grid combination of anisotropic component grids.
 """
 
-from .cli import RunConfig, TableRow, parse_config, run, serialize_config
 from .errors import ComponentSolveError, ConfigError, GridTooLargeError
 from .indexing import FlatIndexMap, GridShape
 from .market import (
@@ -57,3 +56,15 @@ from .stepper import (
 )
 
 __version__ = "0.1.0"
+
+_CLI_NAMES = {"RunConfig", "TableRow", "parse_config", "run", "serialize_config"}
+
+
+def __getattr__(name: str):
+    # the front end loads on first use, so ``python -m ratespde.cli`` does
+    # not find the module already imported by its own package
+    if name in _CLI_NAMES:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

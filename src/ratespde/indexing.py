@@ -4,12 +4,10 @@ Grids are uniform boxes [0, b_1] x ... x [0, b_N] with M_i intervals per
 direction, so M_i + 1 points including both edges.  Solution vectors are
 stored flat; the maps below translate between multi-indices and flat
 indices, classify nodes into active ("inner") and frozen ("outer") sets,
-and enumerate the solve lines used by the directional tridiagonal solver.
+and count the solve lines used by the directional tridiagonal solver.
 
-Conventions:
-  * node indexing (lower bound 0 per direction) is zero-based flat,
-  * interior indexing (lower bound 1) is one-based flat,
-and direction 1 is always the fastest-varying coordinate.
+Node indexing (lower bound 0 per direction) is zero-based flat, and
+direction 1 is always the fastest-varying coordinate.
 """
 
 from __future__ import annotations
@@ -177,24 +175,6 @@ class GridShape:
         """Zero-based map over all nodes, flat range {0, ..., total_points-1}."""
         return FlatIndexMap((0,) * self.ndim, self.interior_counts)
 
-    @cached_property
-    def interior_map(self) -> FlatIndexMap:
-        """One-based map over active nodes, flat range {1, ..., interior_points}."""
-        return FlatIndexMap((1,) * self.ndim, self.interior_counts)
-
-    def line_map(self, direction: int) -> FlatIndexMap:
-        """One-based map enumerating the solve lines of one direction.
-
-        A line in direction i is the set of active nodes sharing all other
-        components; there are prod_{r != i} M_r of them.  The remaining
-        directions keep their ascending order.
-        """
-        self._check_direction(direction)
-        rest = [m for r, m in enumerate(self.interior_counts, start=1) if r != direction]
-        if not rest:
-            rest = [1]
-        return FlatIndexMap((1,) * len(rest), tuple(rest))
-
     def line_count(self, direction: int) -> int:
         self._check_direction(direction)
         return math.prod(m for r, m in enumerate(self.interior_counts, start=1) if r != direction)
@@ -206,10 +186,6 @@ class GridShape:
 
     def coordinate(self, j: Sequence[int]) -> tuple[float, ...]:
         return tuple(comp * h for comp, h in zip(j, self.spacings))
-
-    def is_inner(self, flat: int) -> bool:
-        """True when every component of the decoded multi-index is >= 1."""
-        return all(c >= 1 for c in self.node_map.decode(flat))
 
     def inner_mask(self) -> np.ndarray:
         """Boolean flat mask of the active nodes; True count equals interior_points."""

@@ -13,9 +13,11 @@ while first differences and cross differences are dropped there.
 
 Implementation notes: the flat vector of a shape reshapes (C order) to an
 ndarray whose *last* axis is direction 1, so all stencils are evaluated
-with numpy slice arithmetic, and every PDE coefficient is a product of
-one-axis factors that broadcast across the grid without materialising
-full-size coefficient arrays.
+with numpy slice arithmetic.  The discretisation does not change in
+time, so each operator compiles it once into a table of terms (output
+box, signed input boxes, scaled coefficient array).  A coefficient array
+spans only the axes its PDE coefficient depends on and broadcasts over
+the rest.
 """
 
 from __future__ import annotations
@@ -89,16 +91,35 @@ class _DirectionalFactor:
             grouped[:, col, :] = x
 
 
+@dataclass(frozen=True)
+class _Term:
+    """One stencil piece: out[out] += coef * (v[in_1] +- v[in_2] +- ...).
+
+    The inputs are summed left to right with their signs, the first one
+    positive; ``coef`` already carries the 1/h^2, 1/(2h) or 1/(4 h_i h_k)
+    scale and broadcasts over the output box.
+    """
+
+    kind: tuple  # ("diffusion", i), ("mixed", i, k) or ("advection", i)
+    out: tuple[slice, ...]
+    inputs: tuple[tuple[int, tuple[slice, ...]], ...]
+    coef: np.ndarray
+    shape: tuple[int, ...]
+
+
 class GridOperator:
     """Semi-discrete right-hand side F(Y) and its directional resolvents.
 
-    ``apply`` evaluates the full operator, ``apply_diffusion(i, .)`` the
-    direction-i second-difference part, and ``apply_coupling`` the rest
-    (cross differences plus drift).  ``solve_directional(i, w, g)``
-    returns K with (I - w*A_i) K = g by eliminating the tridiagonal lines
-    of direction i; it requires the frozen rows of g to vanish, which
-    holds for every stage right-hand side and is asserted when
-    ``check_rhs`` is set.
+    The discretisation is time independent, so the constructor compiles
+    it once into a term table: per term its kind, output box, signed
+    input boxes and scaled coefficient array.  ``apply`` sums every term
+    and ``apply_diffusion(i, .)`` only the direction-i second differences
+    (the block A_i); after construction no PDE coefficient is evaluated
+    again.  ``solve_directional(i, w, g)`` returns K with
+    (I - w*A_i) K = g by eliminating the tridiagonal lines of direction
+    i, built from the same direction-i diffusion coefficients; it
+    requires the frozen rows of g to vanish, which holds for every stage
+    right-hand side and is asserted when ``check_rhs`` is set.
     """
 
     def __init__(
@@ -113,61 +134,112 @@ class GridOperator:
             raise ValueError(
                 f"grid has {shape.ndim} directions, product needs {product.dimension}"
             )
-        self.model = PdeModel(market, product)
+        self.model = model = PdeModel(market, product)
         self.shape = shape
-        self.n_directions = shape.ndim
+        self.n_directions = n = shape.ndim
         self.check_rhs = check_rhs
         self._rev = shape.reversed_points
-        self._coords = [shape.axis_coordinates(i) for i in range(1, shape.ndim + 1)]
         self._outer_mask: np.ndarray | None = None
         self._factors: dict[tuple[int, float], _DirectionalFactor] = {}
         self._scratch: np.ndarray | None = None
 
-    def _buffers(self, shape: tuple[int, ...], count: int) -> list[np.ndarray]:
-        """Reusable stencil work arrays; spares the allocator on big grids.
+        counts = shape.interior_counts
+        h = shape.spacings
+        coords = [shape.axis_coordinates(r) for r in range(1, n + 1)]
+
+        def box(rows: dict[int, slice]) -> tuple[slice, ...]:
+            """Active-node box in view axis order (direction r on axis n - r)."""
+            return tuple(rows.get(r, slice(1, counts[r - 1] + 1)) for r in range(n, 0, -1))
+
+        def x(r: int, out: tuple[slice, ...]) -> np.ndarray:
+            """Direction-r coordinates over a box, broadcasting along their own axis."""
+            vals = coords[r - 1][out[n - r]]
+            return vals.reshape([vals.size if a == n - r else 1 for a in range(n)])
+
+        terms: list[_Term] = []
+
+        def add(kind, out, coef, *inputs) -> None:
+            # inputs are (sign, {direction: row shift}) relative to the output box
+            if not np.any(coef):  # a vanishing coefficient contributes nothing
+                return
+            boxes = []
+            for sign, moves in inputs:
+                sl = list(out)
+                for r, s in moves.items():
+                    sl[n - r] = slice(out[n - r].start + s, out[n - r].stop + s)
+                boxes.append((sign, tuple(sl)))
+            shp = tuple(s.stop - s.start for s in out)
+            terms.append(_Term(kind, out, tuple(boxes), coef, shp))
+
+        self._interior = box({})
+        # d_i/h_i^2 over rows 1..M_i of each direction; None where it vanishes
+        self._line_coefs: list[np.ndarray | None] = []
+        for i in range(1, n + 1):
+            m = counts[i - 1]
+            d = model.diffusion(i, x(i, self._interior), x(n, self._interior)) / h[i - 1] ** 2
+            d = d if np.any(d) else None
+            self._line_coefs.append(d)
+            if d is None:
+                continue
+            rows = (slice(None),) * (n - i)
+            if m >= 2:
+                c = box({i: slice(1, m)})
+                add(("diffusion", i), c, d[rows + (slice(0, m - 1),)],
+                    (1, {i: 1}), (1, {i: -1}), (-1, {}), (-1, {}))
+            # Neumann face: the second difference mirrors the lower neighbour
+            top = box({i: slice(m, m + 1)})
+            add(("diffusion", i), top, 2.0 * d[rows + (slice(m - 1, m),)], (1, {i: -1}), (-1, {}))
+        for i in range(1, n):
+            for k in range(i + 1, n + 1):
+                mi, mk = counts[i - 1], counts[k - 1]
+                if mi < 2 or mk < 2:
+                    continue
+                c = box({i: slice(1, mi), k: slice(1, mk)})
+                coef = model.mixed(i, k, x(i, c), x(k, c), x(n, c)) / (4.0 * h[i - 1] * h[k - 1])
+                add(("mixed", i, k), c, coef, (1, {i: 1, k: 1}), (1, {i: -1, k: -1}),
+                    (-1, {i: 1, k: -1}), (-1, {i: -1, k: 1}))
+        for i in range(2, n):
+            mi = counts[i - 1]
+            if mi < 2:
+                continue
+            c = box({i: slice(1, mi)})
+            coef = model.advection(i, [x(j, c) for j in range(2, i + 1)], x(n, c))
+            coef = coef / (2.0 * h[i - 1])
+            add(("advection", i), c, coef, (1, {i: 1}), (-1, {i: -1}))
+        self._terms = tuple(terms)
+
+    def _buffer(self, shape: tuple[int, ...]) -> np.ndarray:
+        """Reusable stencil work array; spares the allocator on big grids.
 
         One operator instance must therefore not be shared by concurrent
         ``apply`` calls; component-grid solves each build their own.
         """
-        need = math.prod(shape)
-        if self._scratch is None or self._scratch.shape[1] < need:
-            self._scratch = np.empty((2, self.shape.total_points))
-        return [self._scratch[k, :need].reshape(shape) for k in range(count)]
+        if self._scratch is None:
+            self._scratch = np.empty(self.shape.total_points)
+        return self._scratch[: math.prod(shape)].reshape(shape)
 
-    # -- full operator -------------------------------------------------
+    # -- operator application --------------------------------------------
 
     def apply(self, y: np.ndarray) -> np.ndarray:
-        n = self.n_directions
-        v = self._as_view(y)
-        out = np.zeros(self.shape.total_points)
-        ov = out.reshape(self._rev)
-        for i in range(1, n + 1):
-            self._add_diffusion(i, v, ov)
-        for i in range(1, n):
-            for k in range(i + 1, n + 1):
-                self._add_mixed(i, k, v, ov)
-        for i in range(2, n):
-            self._add_advection(i, v, ov)
-        return out
+        return self._sum_terms(self._terms, y)
 
     def apply_diffusion(self, i: int, y: np.ndarray) -> np.ndarray:
         """Only the direction-i diffusion block A_i applied to y."""
-        v = self._as_view(y)
-        out = np.zeros(self.shape.total_points)
-        self._add_diffusion(i, v, out.reshape(self._rev))
-        return out
+        self.shape.axis_of(i)  # rejects a direction outside 1..N
+        return self._sum_terms([t for t in self._terms if t.kind == ("diffusion", i)], y)
 
-    def apply_coupling(self, y: np.ndarray) -> np.ndarray:
-        """Cross-derivative and drift terms: apply(y) minus every diffusion block."""
-        n = self.n_directions
+    def _sum_terms(self, terms, y: np.ndarray) -> np.ndarray:
         v = self._as_view(y)
         out = np.zeros(self.shape.total_points)
         ov = out.reshape(self._rev)
-        for i in range(1, n):
-            for k in range(i + 1, n + 1):
-                self._add_mixed(i, k, v, ov)
-        for i in range(2, n):
-            self._add_advection(i, v, ov)
+        for term in terms:
+            buf = self._buffer(term.shape)
+            (_, first), (sign, second), *rest = term.inputs
+            (np.add if sign > 0 else np.subtract)(v[first], v[second], out=buf)
+            for sign, inp in rest:
+                (np.add if sign > 0 else np.subtract)(buf, v[inp], out=buf)
+            buf *= term.coef
+            ov[term.out] += buf
         return out
 
     # -- directional resolvent -----------------------------------------
@@ -188,9 +260,9 @@ class GridOperator:
         if self.check_rhs:
             self._assert_frozen_rows_zero(g)
         out = np.asarray(g, dtype=float).copy()
-        if w == 0.0 or not self._diffusion_active(i):
+        if w == 0.0 or self._line_coefs[i - 1] is None:
             return out
-        sub = out.reshape(self._rev)[self._box()]
+        sub = out.reshape(self._rev)[self._interior]
         work = np.moveaxis(sub, ax, 0)
         rhs = np.ascontiguousarray(work)
         factor = self._factors.get((i, w))
@@ -204,33 +276,18 @@ class GridOperator:
     def lines_in_direction(self, i: int) -> int:
         return self.shape.line_count(i)
 
-    def _line_deltas(self, i: int) -> np.ndarray:
-        """d_i/h_i^2 along a line: rows vary with j_i, columns with the V index.
-
-        Shape (M_i, M_N) for forward directions; (M_i, 1) for the V
-        direction, whose coefficient varies along the line itself.
-        """
-        n = self.n_directions
-        h2 = self.shape.spacings[i - 1] ** 2
-        if i == n:
-            vals = self.model.diffusion(n, None, self._coords[n - 1][1:]) / h2
-            return np.asarray(vals).reshape(-1, 1)
-        dvals = self.model.diffusion(i, self._coords[i - 1][1:], 1.0) / h2
-        v2 = self._coords[n - 1][1:] ** 2
-        return np.outer(dvals, v2)
-
     def _build_factor(self, i: int, w: float) -> "_DirectionalFactor":
-        n = self.n_directions
         m = self.shape.interior_counts[i - 1]
-        wd = w * self._line_deltas(i)
+        # d_i/h_i^2 with the line on axis 0: rows vary with j_i, columns
+        # with the V index (one column for the V direction itself)
+        lines = np.moveaxis(self._line_coefs[i - 1], self.n_directions - i, 0)
+        bshape = lines.shape
+        # C order keeps each row of the sweep coefficients contiguous
+        wd = np.ascontiguousarray(w * lines.reshape(m, -1))
         # wide line batches amortise a python-level sweep; otherwise the
         # sequential row loop dominates and LAPACK takes over, one
         # factorisation per V slice (the matrix is constant within one)
         use_sweep = m == 1 or self.shape.line_count(i) >= m
-        if i == n:
-            bshape = (m,) + (1,) * (n - 1)
-        else:
-            bshape = (m, wd.shape[1]) + (1,) * (n - 2)
         if use_sweep:
             low = -wd.copy()
             low[-1] *= 2.0
@@ -265,86 +322,6 @@ class GridOperator:
             groups.append((dl_f, d_f, du_f, du2, ipiv))
         return _DirectionalFactor(groups=groups)
 
-    # -- stencil pieces --------------------------------------------------
-
-    def _add_diffusion(self, i: int, v: np.ndarray, out: np.ndarray) -> None:
-        if not self._diffusion_active(i):
-            return
-        m = self.shape.interior_counts[i - 1]
-        h2 = self.shape.spacings[i - 1] ** 2
-        if m >= 2:
-            c = self._box({i: slice(1, m)})
-            up = self._box({i: slice(2, m + 1)})
-            dn = self._box({i: slice(0, m - 1)})
-            coef = self._diffusion_factor(i, slice(1, m)) / h2
-            (buf,) = self._buffers(out[c].shape, 1)
-            np.add(v[up], v[dn], out=buf)
-            np.subtract(buf, v[c], out=buf)
-            np.subtract(buf, v[c], out=buf)
-            buf *= coef
-            out[c] += buf
-        top = self._box({i: slice(m, m + 1)})
-        below = self._box({i: slice(m - 1, m)})
-        coef = self._diffusion_factor(i, slice(m, m + 1)) * (2.0 / h2)
-        out[top] += coef * (v[below] - v[top])
-
-    def _add_mixed(self, i: int, k: int, v: np.ndarray, out: np.ndarray) -> None:
-        model = self.model
-        n = self.n_directions
-        if model.alpha(i) == 0.0:
-            return
-        if k == n:
-            if model.market.sigma == 0.0 or model.phi(i) == 0.0:
-                return
-        elif model.alpha(k) == 0.0:
-            return
-        mi = self.shape.interior_counts[i - 1]
-        mk = self.shape.interior_counts[k - 1]
-        if mi < 2 or mk < 2:
-            return
-        c = self._box({i: slice(1, mi), k: slice(1, mk)})
-        pp = self._box({i: slice(2, mi + 1), k: slice(2, mk + 1)})
-        mm = self._box({i: slice(0, mi - 1), k: slice(0, mk - 1)})
-        pm = self._box({i: slice(2, mi + 1), k: slice(0, mk - 1)})
-        mp = self._box({i: slice(0, mi - 1), k: slice(2, mk + 1)})
-        fi = self._axf(i, self._coords[i - 1][1:mi])
-        if k == n:
-            coef = model.mixed(i, k, fi, None, self._axf(n, self._coords[n - 1][1:mk]))
-        else:
-            fk = self._axf(k, self._coords[k - 1][1:mk])
-            coef = model.mixed(i, k, fi, fk, self._axf(n, self._coords[n - 1][1:]))
-        coef = coef / (4.0 * self.shape.spacings[i - 1] * self.shape.spacings[k - 1])
-        buf, buf2 = self._buffers(out[c].shape, 2)
-        np.add(v[pp], v[mm], out=buf)
-        np.add(v[pm], v[mp], out=buf2)
-        np.subtract(buf, buf2, out=buf)
-        buf *= coef
-        out[c] += buf
-
-    def _add_advection(self, i: int, v: np.ndarray, out: np.ndarray) -> None:
-        model = self.model
-        n = self.n_directions
-        if model.alpha(i) == 0.0:
-            return
-        if all(model.alpha(j) == 0.0 for j in range(2, i + 1)):
-            return
-        mi = self.shape.interior_counts[i - 1]
-        if mi < 2:
-            return
-        c = self._box({i: slice(1, mi)})
-        up = self._box({i: slice(2, mi + 1)})
-        dn = self._box({i: slice(0, mi - 1)})
-        forwards = []
-        for j in range(2, i + 1):
-            stop = mi if j == i else self.shape.interior_counts[j - 1] + 1
-            forwards.append(self._axf(j, self._coords[j - 1][1:stop]))
-        coef = model.advection(i, forwards, self._axf(n, self._coords[n - 1][1:]))
-        coef = coef / (2.0 * self.shape.spacings[i - 1])
-        (buf,) = self._buffers(out[c].shape, 1)
-        np.subtract(v[up], v[dn], out=buf)
-        buf *= coef
-        out[c] += buf
-
     # -- plumbing --------------------------------------------------------
 
     def _as_view(self, y: np.ndarray) -> np.ndarray:
@@ -354,33 +331,6 @@ class GridOperator:
                 f"vector length {y.size} does not match grid ({self.shape.total_points} nodes)"
             )
         return y.reshape(self._rev)
-
-    def _box(self, overrides: dict[int, slice] | None = None) -> tuple[slice, ...]:
-        """Axis slices covering the active nodes, selectively overridden per direction."""
-        sl: list[slice] = [slice(None)] * self.n_directions
-        for r in range(1, self.n_directions + 1):
-            default = slice(1, self.shape.interior_counts[r - 1] + 1)
-            sl[self.shape.axis_of(r)] = (overrides or {}).get(r, default)
-        return tuple(sl)
-
-    def _axf(self, direction: int, values: np.ndarray) -> np.ndarray:
-        """Reshape a per-direction factor so it broadcasts along its own axis."""
-        shp = [1] * self.n_directions
-        shp[self.shape.axis_of(direction)] = np.size(values)
-        return np.asarray(values, dtype=float).reshape(shp)
-
-    def _diffusion_factor(self, i: int, rows: slice) -> np.ndarray:
-        n = self.n_directions
-        if i == n:
-            return self.model.diffusion(n, None, self._axf(n, self._coords[n - 1][rows]))
-        xi = self._axf(i, self._coords[i - 1][rows])
-        vv = self._axf(n, self._coords[n - 1][1:])
-        return self.model.diffusion(i, xi, vv)
-
-    def _diffusion_active(self, i: int) -> bool:
-        if i == self.n_directions:
-            return self.model.market.sigma != 0.0
-        return self.model.alpha(i) != 0.0
 
     def _assert_frozen_rows_zero(self, g: np.ndarray) -> None:
         if self._outer_mask is None:

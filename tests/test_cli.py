@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -262,3 +266,16 @@ class TestMain:
         config.write_text(text + "\n[output]\nreference = black\n")
         assert main([str(config)]) == 1
         assert "volatility" in capsys.readouterr().err
+
+    def test_module_entry_point_runs_without_warning(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "ratespde.cli", "--help"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "found in sys.modules" not in proc.stderr

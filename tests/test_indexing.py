@@ -95,20 +95,20 @@ def test_grid_shape_derived_quantities():
     assert shape.offsets == (1, 5, 15)
     assert shape.spacings == (0.01, 0.02, 3.5 / 8)
     assert shape.node_map.size == shape.total_points
-    assert shape.interior_map.size == shape.interior_points
-    assert shape.interior_map.encode((1, 1, 1)) == 1
+    assert shape.line_count(1) == 2 * 8
+    assert GridShape((3, 4, 5), (1.0, 1.0, 1.0)).line_count(2) == 15
+    assert GridShape((7,), (1.0,)).line_count(1) == 1
 
 
 def test_classification_counts():
     shape = GridShape((4, 4), (1.0, 1.0))
-    inner = [j for j in range(shape.total_points) if shape.is_inner(j)]
-    assert len(inner) == 16
-    assert shape.total_points - len(inner) == 9
-    assert not shape.is_inner(0)
-    assert shape.is_inner(shape.node_map.encode((1, 1)))
     mask = shape.inner_mask()
-    assert mask.sum() == shape.interior_points
-    assert np.array_equal(mask, np.array([shape.is_inner(j) for j in range(shape.total_points)]))
+    decoded = [shape.node_map.decode(j) for j in range(shape.total_points)]
+    assert np.array_equal(mask, np.array([min(j) >= 1 for j in decoded]))
+    assert mask.sum() == shape.interior_points == 16
+    assert shape.total_points - mask.sum() == 9
+    assert not mask[0]
+    assert mask[shape.node_map.encode((1, 1))]
 
 
 @pytest.mark.parametrize("uppers", [(4, 4), (3, 4, 5), (2, 3, 2, 3)])
@@ -127,24 +127,6 @@ def test_neighbour_offset_property(uppers):
                 up = list(j)
                 up[i - 1] += 1
                 assert nm.encode(tuple(up)) == flat + shape.offsets[i - 1]
-
-
-def test_line_map_basics():
-    shape = GridShape((3, 4, 5), (1.0, 1.0, 1.0))
-    assert shape.line_count(2) == 15
-    lm = shape.line_map(2)
-    assert lm.encode((1, 1)) == 1
-    assert lm.size == 15
-    seen = {lm.encode(k) for k in lm}
-    assert seen == set(range(1, 16))
-    for flat in range(1, 16):
-        assert lm.encode(lm.decode(flat)) == flat
-
-
-def test_line_map_single_direction_grid():
-    shape = GridShape((7,), (1.0,))
-    assert shape.line_count(1) == 1
-    assert shape.line_map(1).size == 1
 
 
 def test_shape_validation():

@@ -6,6 +6,7 @@ from ratespde import (
     SWAPTION,
     GridOperator,
     GridShape,
+    PdeModel,
     ProductSpec,
     StateVector,
     assemble_directional_matrix,
@@ -120,14 +121,43 @@ class TestApply:
         scale = np.abs(matrix).max() * np.abs(y).max()
         assert np.abs(op.apply(y) - reference).max() <= 1e-13 * scale
 
-    def test_split_pieces_sum_to_full(self):
-        op, *_ = make_operator((4, 5, 3))
+    @pytest.mark.parametrize("counts", [(4, 5, 3), (2, 3, 2, 3)])
+    def test_split_pieces_sum_to_full(self, counts):
+        # the coupling left after removing every diffusion block agrees
+        # with the loop-assembled cross and drift entries
+        op, *_ = make_operator(counts)
         y = rng().normal(size=op.shape.total_points)
-        total = op.apply_coupling(y)
-        for i in (1, 2, 3):
-            total = total + op.apply_diffusion(i, y)
-        full = op.apply(y)
-        assert np.abs(total - full).max() <= 1e-14 * max(1.0, np.abs(full).max())
+        coupling = op.apply(y)
+        matrix = assemble_operator_matrix(op)
+        for i in range(1, op.n_directions + 1):
+            coupling = coupling - op.apply_diffusion(i, y)
+            matrix = matrix - assemble_directional_matrix(op, i)
+        reference = matrix @ y
+        scale = np.abs(assemble_operator_matrix(op)).max() * np.abs(y).max()
+        assert np.abs(reference).max() > 1e-3 * scale
+        assert np.abs(coupling - reference).max() <= 1e-13 * scale
+
+    def test_coefficients_evaluated_once(self, monkeypatch):
+        calls = {"diffusion": 0, "mixed": 0, "advection": 0}
+        for name in calls:
+            original = getattr(PdeModel, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(PdeModel, name, counted)
+        op, *_ = make_operator((4, 5, 3))
+        built = dict(calls)
+        assert all(built.values())
+        g = rng().normal(size=op.shape.total_points) * op.shape.inner_mask()
+        for _ in range(2):
+            op.apply(g)
+            for i in range(1, op.n_directions + 1):
+                op.apply_diffusion(i, g)
+                for w in (0.05, 1.3):
+                    op.solve_directional(i, w, g)
+        assert calls == built
 
     def test_single_active_direction_equals_full(self):
         # sigma = 0 silences the vol direction and every coupling term of a caplet
@@ -157,6 +187,15 @@ class TestApply:
         op, *_ = make_operator((4, 4))
         with pytest.raises(ValueError):
             op.apply(np.zeros(7))
+
+    @pytest.mark.parametrize("i", [0, 3])
+    def test_direction_checked(self, i):
+        op, *_ = make_operator((4, 4))
+        y = np.zeros(op.shape.total_points)
+        with pytest.raises(ValueError):
+            op.apply_diffusion(i, y)
+        with pytest.raises(ValueError):
+            op.solve_directional(i, 0.1, y)
 
 
 class TestDirectionalSolve:
