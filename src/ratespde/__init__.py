@@ -46,12 +46,8 @@ from .stepper import (
     THETA_ORDER3,
     AmfrW2Config,
     StepCounters,
-    ThetaGsConfig,
-    ThetaGsIntegrator,
     amfrw2_stage,
     amfrw2_step,
-    assemble_directional_matrix,
-    assemble_operator_matrix,
     integrate,
 )
 

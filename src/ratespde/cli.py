@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 import tempfile
@@ -117,6 +118,13 @@ def _parse_scalar(raw: tuple[str, int], conv, what: str):
         return conv(text)
     except ValueError:
         raise ConfigError(f"expected {what}, got {text!r}", line) from None
+
+
+def _parse_positive(raw: tuple[str, int], name: str) -> float:
+    value = _parse_scalar(raw, float, "a number")
+    if not 0.0 < value < math.inf:
+        raise ConfigError(f"{name} must be positive and finite", raw[1])
+    return value
 
 
 def _parse_list(raw: tuple[str, int], conv, what: str) -> tuple:
@@ -252,9 +260,9 @@ def _build_solver_output(
             raise ConfigError("'psi' only applies to technique 'modified'", psi_raw[1])
         psi = 0
     theta_raw = raw.take("solver", "theta")
-    theta = _parse_scalar(theta_raw, float, "a number") if theta_raw else THETA_ORDER3
+    theta = _parse_positive(theta_raw, "theta") if theta_raw else THETA_ORDER3
     nu_raw = raw.take("solver", "nu")
-    nu = _parse_scalar(nu_raw, float, "a number") if nu_raw else None
+    nu = _parse_positive(nu_raw, "nu") if nu_raw else None
     threads_raw = raw.take("solver", "threads")
     threads = _parse_scalar(threads_raw, int, "an integer") if threads_raw else None
     if threads is not None and threads < 1:

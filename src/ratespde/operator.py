@@ -1,4 +1,4 @@
-"""Matrix-free spatial operator, batched directional solver, grid states.
+"""Matrix-free spatial operator, directional tridiagonal solver, grid states.
 
 The semi-discrete system keeps every grid node in one flat vector.  Nodes
 with any zero component ("outer": the lower Dirichlet faces) are frozen
@@ -17,7 +17,8 @@ with numpy slice arithmetic.  The discretisation does not change in
 time, so each operator compiles it once into a table of terms (output
 box, signed input boxes, scaled coefficient array).  A coefficient array
 spans only the axes its PDE coefficient depends on and broadcasts over
-the rest.
+the rest.  Each directional solve is one LAPACK tridiagonal solve over
+the direction's distinct lines chained into a single system.
 """
 
 from __future__ import annotations
@@ -54,41 +55,6 @@ class StateVector:
 
     def copy(self) -> "StateVector":
         return StateVector(self.shape, self.values.copy())
-
-
-class _DirectionalFactor:
-    """Frozen elimination data of one (I - w*A_i): either per-row sweep
-    coefficients broadcast over the line batch, or LAPACK factorisations
-    grouped by V slice."""
-
-    def __init__(self, sweep=None, groups=None):
-        self.sweep = sweep
-        self.groups = groups
-
-    def solve_inplace(self, rhs: np.ndarray) -> None:
-        m = rhs.shape[0]
-        if self.sweep is not None:
-            low, cp, inv_den = self.sweep
-            rhs[0] *= inv_den[0]
-            for k in range(1, m):
-                rhs[k] -= low[k] * rhs[k - 1]
-                rhs[k] *= inv_den[k]
-            for k in range(m - 2, -1, -1):
-                rhs[k] -= cp[k] * rhs[k + 1]
-            return
-        if len(self.groups) == 1:
-            flat = rhs.reshape(m, -1)
-            x, info = lapack.dgttrs(*self.groups[0], flat)
-            if info != 0:
-                raise FloatingPointError(f"tridiagonal solve failed (info={info})")
-            flat[:] = x
-            return
-        grouped = rhs.reshape(m, len(self.groups), -1)
-        for col, factor in enumerate(self.groups):
-            x, info = lapack.dgttrs(*factor, grouped[:, col, :])
-            if info != 0:
-                raise FloatingPointError(f"tridiagonal solve failed (info={info})")
-            grouped[:, col, :] = x
 
 
 @dataclass(frozen=True)
@@ -140,7 +106,7 @@ class GridOperator:
         self.check_rhs = check_rhs
         self._rev = shape.reversed_points
         self._outer_mask: np.ndarray | None = None
-        self._factors: dict[tuple[int, float], _DirectionalFactor] = {}
+        self._factors: dict[tuple[int, float], tuple[np.ndarray, ...]] = {}
         self._scratch: np.ndarray | None = None
 
         counts = shape.interior_counts
@@ -172,6 +138,14 @@ class GridOperator:
             terms.append(_Term(kind, out, tuple(boxes), coef, shp))
 
         self._interior = box({})
+        # axis order of the interior view that solve_directional chains
+        # direction i along: right-hand-side columns first, then the V row
+        # (i < N only) and the line itself; split counts the column axes
+        self._chains = []
+        for i in range(1, n + 1):
+            chain = (0,) if i == n else (0, n - i)
+            cols = tuple(a for a in range(n) if a not in chain)
+            self._chains.append((cols + chain, len(cols)))
         # d_i/h_i^2 over rows 1..M_i of each direction; None where it vanishes
         self._line_coefs: list[np.ndarray | None] = []
         for i in range(1, n + 1):
@@ -247,80 +221,66 @@ class GridOperator:
     def solve_directional(self, i: int, w: float, g: np.ndarray) -> np.ndarray:
         """Solve (I - w*A_i) K = g, one tridiagonal system per line.
 
-        Frozen rows are identities, so K = g there.  Every line system is
-        strictly diagonally dominant for w >= 0 (dominance margin exactly
-        1), hence elimination without pivoting is safe.  The elimination
-        coefficients depend only on (i, w) and are cached across calls;
-        grids with few long lines go through LAPACK's tridiagonal solver
-        instead of the batched sweep, whose per-row cost would dominate.
+        Frozen rows are identities, so K = g there.  Lines with equal
+        coefficients share one factorisation: direction N has a single
+        distinct line, a direction i < N one per V row.  The distinct
+        lines are chained, uncoupled, into one tridiagonal system that
+        LAPACK factors with partial pivoting once per (i, w); the factor
+        is cached, and each call is one ``dgttrs`` solve whose
+        right-hand-side columns are the repeats of that chain.
         """
-        ax = self.shape.axis_of(i)
-        if w < 0.0:
-            raise ValueError("directional solve needs a nonnegative shift")
+        self.shape.axis_of(i)  # rejects a direction outside 1..N
+        if not 0.0 <= w < math.inf:
+            raise ValueError("directional solve needs a finite nonnegative shift")
         if self.check_rhs:
             self._assert_frozen_rows_zero(g)
         out = np.asarray(g, dtype=float).copy()
         if w == 0.0 or self._line_coefs[i - 1] is None:
             return out
-        sub = out.reshape(self._rev)[self._interior]
-        work = np.moveaxis(sub, ax, 0)
-        rhs = np.ascontiguousarray(work)
         factor = self._factors.get((i, w))
         if factor is None:
-            factor = self._build_factor(i, w)
-            self._factors[(i, w)] = factor
-        factor.solve_inplace(rhs)
-        work[:] = rhs
+            factor = self._factors[(i, w)] = self._build_factor(i, w)
+        order, split = self._chains[i - 1]
+        lines = out.reshape(self._rev)[self._interior].transpose(order)
+        rows = math.prod(lines.shape[split:])
+        # Fortran-ordered right-hand sides, so dgttrs solves them in place
+        b = np.empty((lines.size // rows, factor[1].size))
+        b[:, rows:] = 0.0  # the identity rows that pad a short chain
+        b[:, :rows].reshape(lines.shape)[...] = lines
+        x, info = lapack.dgttrs(*factor, b.T, overwrite_b=True)
+        if info != 0:
+            raise FloatingPointError(f"tridiagonal solve failed (info={info})")
+        lines[...] = x.T[:, :rows].reshape(lines.shape)
         return out
 
     def lines_in_direction(self, i: int) -> int:
         return self.shape.line_count(i)
 
-    def _build_factor(self, i: int, w: float) -> "_DirectionalFactor":
+    def _build_factor(self, i: int, w: float) -> tuple[np.ndarray, ...]:
+        """``dgttrf`` factors of the chained distinct lines of I - w*A_i."""
+        order, split = self._chains[i - 1]
         m = self.shape.interior_counts[i - 1]
-        # d_i/h_i^2 with the line on axis 0: rows vary with j_i, columns
-        # with the V index (one column for the V direction itself)
-        lines = np.moveaxis(self._line_coefs[i - 1], self.n_directions - i, 0)
-        bshape = lines.shape
-        # C order keeps each row of the sweep coefficients contiguous
-        wd = np.ascontiguousarray(w * lines.reshape(m, -1))
-        # wide line batches amortise a python-level sweep; otherwise the
-        # sequential row loop dominates and LAPACK takes over, one
-        # factorisation per V slice (the matrix is constant within one)
-        use_sweep = m == 1 or self.shape.line_count(i) >= m
-        if use_sweep:
-            low = -wd.copy()
-            low[-1] *= 2.0
-            diag = 1.0 + 2.0 * wd
-            cp = np.empty_like(wd)
-            inv_den = np.empty_like(wd)
-            inv_den[0] = 1.0 / diag[0]
-            cp[0] = -wd[0] * inv_den[0]
-            for k in range(1, m):
-                den = diag[k] - low[k] * cp[k - 1]
-                if not np.all(den > 0.0):
-                    raise FloatingPointError("lost diagonal dominance in tridiagonal factor")
-                inv_den[k] = 1.0 / den
-                cp[k] = -wd[k] * inv_den[k]
-            return _DirectionalFactor(
-                sweep=(
-                    low.reshape(bshape),
-                    cp.reshape(bshape),
-                    inv_den.reshape(bshape),
-                )
-            )
-        groups = []
-        for col in range(wd.shape[1]):
-            wcol = wd[:, col]
-            d = 1.0 + 2.0 * wcol
-            du = -wcol[:-1]
-            dl = -wcol[1:].copy()
-            dl[-1] *= 2.0
-            dl_f, d_f, du_f, du2, ipiv, info = lapack.dgttrf(dl, d, du)
-            if info != 0:
-                raise FloatingPointError(f"tridiagonal factorisation failed (info={info})")
-            groups.append((dl_f, d_f, du_f, du2, ipiv))
-        return _DirectionalFactor(groups=groups)
+        counts = tuple(s.stop - s.start for s in self._interior)
+        # w*d_i/h_i^2 with one row per distinct line
+        coefs = np.broadcast_to(self._line_coefs[i - 1], counts).transpose(order)
+        wd = w * coefs[(0,) * split].reshape(-1, m)
+        # scipy's dgttrf needs three rows; a shorter chain gets identity rows
+        size = max(wd.size, 3)
+        d, low, up = np.ones(size), np.zeros(size), np.zeros(size)
+        d_v, low_v, up_v = (a[: wd.size].reshape(wd.shape) for a in (d, low, up))
+        d_v += 2.0 * wd
+        # a row couples to its neighbours on the same line only
+        low_v[:, 1:] = -wd[:, 1:]
+        low_v[:, -1] *= 2.0  # the Neumann face mirrors its lower neighbour
+        up_v[:, :-1] = -wd[:, :-1]
+        *factor, info = lapack.dgttrf(
+            low[1:], d, up[:-1], overwrite_dl=1, overwrite_d=1, overwrite_du=1
+        )
+        if info != 0:
+            raise FloatingPointError(f"tridiagonal factorisation failed (info={info})")
+        if not all(np.isfinite(a).all() for a in factor[:4]):
+            raise FloatingPointError("non-finite tridiagonal factor")
+        return tuple(factor)
 
     # -- plumbing --------------------------------------------------------
 

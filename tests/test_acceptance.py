@@ -25,10 +25,7 @@ from ratespde import (
     GridTooLargeError,
     ProductSpec,
     StepCounters,
-    ThetaGsConfig,
-    ThetaGsIntegrator,
     amfrw2_step,
-    assemble_operator_matrix,
     black_caplet_price,
     combine,
     initial_state,
@@ -37,6 +34,7 @@ from ratespde import (
     solve_component_grid,
     standard_plan,
 )
+from ratespde.reference import ThetaGsConfig, ThetaGsIntegrator, assemble_operator_matrix
 
 from conftest import make_market, record_acceptance
 from test_operator import make_operator
@@ -413,6 +411,7 @@ def test_high_dimensional_run_starts_and_admits():
     check(
         "high-dimensional smoke (6-dimensional plan runs, full grid admission-controlled)",
         ok,
-        f"d=6 n=8 combination: {result.value_bps:.6f} bps from {len(plan)} grids; "
+        f"d=6 n=8 combination: {result.value_bps:.6f} bps from {len(plan)} grids, "
+        "price not checked (the plain plan is pre-asymptotic at d >= 4); "
         "isotropic level-7 full grid rejected by the node cap",
     )

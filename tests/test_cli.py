@@ -123,6 +123,14 @@ class TestParse:
             with pytest.raises(ConfigError, match=f"line {line}: threads must be at least 1"):
                 parse_config(text)
 
+    @pytest.mark.parametrize("key", ["theta", "nu"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+    def test_bad_theta_nu_rejected_with_line(self, key, value):
+        text = MINIMAL_CAPLET + f"{key} = {value}\n"
+        line = len(text.splitlines())
+        with pytest.raises(ConfigError, match=f"line {line}: {key} must be positive and finite"):
+            parse_config(text)
+
     def test_sparse_level_must_fit_dimension(self):
         text = SPARSE_CAPLET.replace("levels = 5", "levels = 0")
         with pytest.raises(ConfigError, match="too small"):
@@ -253,6 +261,12 @@ class TestMain:
             main([str(config), "--threads", "0", "--quiet"])
         assert exit_info.value.code == 2
         assert "--threads: must be at least 1" in capsys.readouterr().err
+
+    def test_nonfinite_theta_exits_before_pricing(self, tmp_path, capsys):
+        config = tmp_path / "run.txt"
+        config.write_text(MINIMAL_CAPLET + "theta = nan\n")
+        assert main([str(config)]) == 2
+        assert "theta must be positive and finite" in capsys.readouterr().err
 
     def test_infeasible_grid_fails_cleanly(self, tmp_path, capsys):
         config = tmp_path / "run.txt"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,12 @@ from ratespde import (
     PdeModel,
     ProductSpec,
     StateVector,
-    assemble_directional_matrix,
-    assemble_operator_matrix,
     dump_state,
     initial_state,
     interpolate,
     payoff,
 )
+from ratespde.reference import assemble_directional_matrix, assemble_operator_matrix
 
 from conftest import make_market
 
@@ -209,9 +210,21 @@ class TestDirectionalSolve:
         with pytest.raises(ValueError):
             op.solve_directional(1, -0.1, np.zeros(op.shape.total_points))
 
-    @pytest.mark.parametrize("counts", [(6, 5), (5, 6, 4), (16, 2), (2, 16), (1, 8), (12, 1, 3)])
+    @pytest.mark.parametrize("w", [math.nan, math.inf])
+    def test_nonfinite_shift_rejected(self, w):
+        for counts in [(16, 2), (2, 16)]:
+            op, *_ = make_operator(counts)
+            for i in (1, 2):
+                with pytest.raises(ValueError, match="finite"):
+                    op.solve_directional(i, w, np.zeros(op.shape.total_points))
+
+    @pytest.mark.parametrize(
+        "counts",
+        [(6, 5), (5, 6, 4), (16, 2), (2, 16), (1, 8), (12, 1, 3), (2, 1), (1, 2), (2, 1, 1)],
+    )
     def test_residual_all_directions(self, counts):
-        # thin shapes exercise the LAPACK route, fat ones the batched sweep
+        # one long chain (thin shapes), many columns (fat ones) and chains
+        # shorter than three rows, which the factor pads with identity rows
         op, *_ = make_operator(counts)
         g = rng().normal(size=op.shape.total_points) * op.shape.inner_mask()
         for i in range(1, op.n_directions + 1):
@@ -220,7 +233,7 @@ class TestDirectionalSolve:
                 residual = k - w * op.apply_diffusion(i, k) - g
                 assert np.abs(residual).max() <= 1e-12 * np.abs(g).max()
 
-    @pytest.mark.parametrize("counts", [(6, 5), (4, 3, 5), (16, 2)])
+    @pytest.mark.parametrize("counts", [(6, 5), (4, 3, 5), (16, 2), (2, 1), (1, 2), (2, 1, 1)])
     def test_matches_dense_solve(self, counts):
         op, *_ = make_operator(counts)
         g = rng().normal(size=op.shape.total_points) * op.shape.inner_mask()

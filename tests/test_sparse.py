@@ -207,6 +207,13 @@ class TestCombine:
         result = combine(single, market_flat, caplet, caplet_domain, cfg)
         assert result.value_bps == full
 
+    def test_two_row_components_price(self, market_sv, caplet):
+        # (1, 0) and (0, 1) are 2 x 1 and 1 x 2 interval grids, whose
+        # single-line directions are chains shorter than three rows
+        domain = DomainSpec.for_product(market_sv, caplet, 0.04, 3.5)
+        result = combine(standard_plan(2, 2), market_sv, caplet, domain, AmfrW2Config(num_steps=2))
+        assert math.isfinite(result.value_bps)
+
     def test_thread_count_does_not_change_bits(self, market_flat, caplet, caplet_domain):
         cfg = AmfrW2Config(num_steps=4)
         plan = standard_plan(5, 2)

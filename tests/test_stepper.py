@@ -11,14 +11,16 @@ from ratespde import (
     ProductSpec,
     StepCounters,
     THETA_ORDER3,
-    ThetaGsConfig,
-    ThetaGsIntegrator,
     amfrw2_stage,
     amfrw2_step,
-    assemble_directional_matrix,
-    assemble_operator_matrix,
     initial_state,
     integrate,
+)
+from ratespde.reference import (
+    ThetaGsConfig,
+    ThetaGsIntegrator,
+    assemble_directional_matrix,
+    assemble_operator_matrix,
 )
 
 from conftest import make_market
@@ -107,6 +109,13 @@ class TestConfigValidation:
             ThetaGsConfig(num_steps=1, theta=1.5)
         with pytest.raises(ValueError):
             ThetaGsConfig(num_steps=1, sweeps=0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_nonfinite_theta_and_nu(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            AmfrW2Config(num_steps=1, theta=value)
+        with pytest.raises(ValueError, match="finite"):
+            AmfrW2Config(num_steps=1, nu=value)
 
 
 class TestGridStage:
