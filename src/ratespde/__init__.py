@@ -37,6 +37,7 @@ from .sparse import (
     combine,
     count_points,
     export_plan_csv,
+    full_plan,
     modified_plan,
     shape_for_levels,
     solve_component_grid,

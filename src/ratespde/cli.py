@@ -1,8 +1,8 @@
 """Batch pricing front end.
 
-Reads a sectioned key=value run configuration, executes a full-grid or
-combination-technique pricing across level and step schedules, prints a
-convergence table and optionally writes it as CSV.  The config grammar
+Reads a sectioned key=value run configuration, prices a combination
+plan (a full grid being the one-term plan) for every level and step
+count, prints a convergence table and optionally writes it as CSV.  The config grammar
 is documented in the README; unknown sections or keys are hard errors so
 typos never pass silently.
 """
@@ -15,10 +15,9 @@ import math
 import os
 import sys
 import tempfile
-import time
 from dataclasses import dataclass, replace
 
-from .errors import ComponentSolveError, ConfigError, GridTooLargeError
+from .errors import ComponentSolveError, ConfigError
 from .market import (
     CAPLET,
     DomainSpec,
@@ -27,17 +26,10 @@ from .market import (
     black_caplet_price,
     validate_domain,
 )
-from .sparse import (
-    combine,
-    modified_plan,
-    solve_component_grid,
-    standard_plan,
-)
+from .sparse import FULL, MODIFIED, combine, full_plan, modified_plan, standard_plan
 from .stepper import THETA_ORDER3, AmfrW2Config
 
-FULL = "full"
 SPARSE = "sparse"
-MODIFIED = "modified"
 
 DEFAULT_LAMBDA = 0.1
 DEFAULT_MAX_NODES = 50_000_000
@@ -283,6 +275,8 @@ def _build_solver_output(
         reference = "black"
     else:
         reference = _parse_scalar(ref_raw, float, "'black', 'none' or a number")
+        if not math.isfinite(reference):
+            raise ConfigError("reference must be finite", ref_raw[1])
     n_min = product.dimension - 1 if technique in (SPARSE, MODIFIED) else 0
     for lvl in levels:
         if lvl < n_min:
@@ -394,35 +388,24 @@ def run(cfg: RunConfig, *, quiet: bool = False, out=None) -> list[TableRow]:
     for steps in cfg.steps:
         int_cfg = AmfrW2Config(num_steps=steps, theta=cfg.theta, nu=cfg.nu)
         for level in cfg.levels:
-            started = time.perf_counter()
             if cfg.technique == FULL:
-                value = solve_component_grid(
-                    (level,) * dims,
-                    cfg.market,
-                    cfg.product,
-                    cfg.domain,
-                    int_cfg,
-                    max_nodes=cfg.max_nodes,
-                )
-                points = (2**level + 1) ** dims
+                plan = full_plan(level, dims)
+            elif cfg.technique == SPARSE:
+                plan = standard_plan(level, dims)
             else:
-                if cfg.technique == SPARSE:
-                    plan = standard_plan(level, dims)
-                else:
-                    plan = modified_plan(level, dims, cfg.psi, allow_large_psi=True)
-                result = combine(
-                    plan,
-                    cfg.market,
-                    cfg.product,
-                    cfg.domain,
-                    int_cfg,
-                    threads=cfg.threads,
-                    max_nodes=cfg.max_nodes,
-                )
-                value, points = result.value_bps, result.total_points
-            elapsed = time.perf_counter() - started
+                plan = modified_plan(level, dims, cfg.psi, allow_large_psi=True)
+            result = combine(
+                plan,
+                cfg.market,
+                cfg.product,
+                cfg.domain,
+                int_cfg,
+                threads=cfg.threads,
+                max_nodes=cfg.max_nodes,
+            )
+            value = result.value_bps
             error = abs(value - reference) if reference is not None else None
-            row = TableRow(level, steps, value, error, elapsed, points)
+            row = TableRow(level, steps, value, error, result.seconds, result.total_points)
             rows.append(row)
             if not quiet:
                 print(_format_row(row), file=out)
@@ -494,7 +477,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = replace(cfg, threads=args.threads)
     try:
         run(cfg, quiet=args.quiet)
-    except (GridTooLargeError, ComponentSolveError, FloatingPointError, ConfigError, ValueError) as err:
+    except (ComponentSolveError, FloatingPointError, ConfigError, ValueError) as err:
         cause = f" ({err.__cause__})" if err.__cause__ is not None else ""
         print(f"error: {err}{cause}", file=sys.stderr)
         return 1

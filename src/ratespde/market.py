@@ -336,11 +336,7 @@ def black_caplet_price(market: MarketData, expiry_index: int = 1) -> float:
     return 1.0e4 * market.discount_factor(a + 1) * market.taus[a] * undiscounted
 
 
-def validate_domain(
-    market: MarketData,
-    domain: DomainSpec,
-    product: ProductSpec | None = None,
-) -> list[str]:
+def validate_domain(market: MarketData, domain: DomainSpec, product: ProductSpec) -> list[str]:
     """Check the truncated domain against the outflow-boundary conditions.
 
     For beta in (0, 1] the upper boundaries are provably outflow when
@@ -352,12 +348,8 @@ def validate_domain(
     beta = market.beta
     if beta == 0.0:
         return []
-    if product is not None:
-        idx = list(product.forward_indices())
-    else:
-        idx = list(range(len(market.initial_forwards)))
-    interior = idx[1:-1]
-    last = idx[-1] if idx else None
+    idx = product.forward_indices()
+    interior, last = idx[1:-1], idx[-1]
     violations = []
     bound = beta / (2.0 - beta)
     for i in interior:
@@ -366,7 +358,7 @@ def validate_domain(
             violations.append(
                 f"tau_{i}*F_max = {lhs:.6g} exceeds beta/(2-beta) = {bound:.6g}"
             )
-    if last is not None and beta < 1.0:
+    if beta < 1.0:
         bound_last = beta / (1.0 - beta)
         lhs = market.taus[last] * domain.f_max
         if lhs > bound_last:

@@ -10,6 +10,8 @@ The modified variant shifts every level vector by a constant psi >= 1,
 forcing a minimum resolution per direction; degenerate grids otherwise
 approximate the upper-boundary condition too poorly and drag down the
 combined accuracy.  Keep psi at 1 or 2: the point count grows by 2^(d*psi).
+
+A full isotropic grid is the degenerate plan: one term of weight 1.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ from .errors import ComponentSolveError, GridTooLargeError
 from .indexing import GridShape
 from .market import DomainSpec, MarketData, ProductSpec, product_discount
 from .operator import GridOperator, StateVector, initial_state, interpolate
-from .stepper import AmfrW2Config, StepCounters, integrate
+from .stepper import AmfrW2Config, integrate
 
+FULL = "full"
 STANDARD = "standard"
 MODIFIED = "modified"
 
@@ -68,6 +71,15 @@ def _level_vectors(total: int, dims: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + tail
 
 
+def full_plan(level: int, dims: int) -> CombinationPlan:
+    """The isotropic full grid as the degenerate plan: one term of weight 1."""
+    if dims < 1:
+        raise ValueError("need at least one dimension")
+    if level < 0:
+        raise ValueError("level must be nonnegative")
+    return CombinationPlan(FULL, level, dims, 0, (CombinationTerm((level,) * dims, 1),))
+
+
 def standard_plan(level: int, dims: int) -> CombinationPlan:
     """Level vectors and signed binomial weights of the plain combination."""
     if dims < 1:
@@ -100,13 +112,16 @@ def modified_plan(
 def count_points(plan: CombinationPlan) -> int:
     """Distinct grid points in the union of the component grids.
 
-    Count by the per-direction refinement excess u = max(level - psi, 0)
-    of a dyadic point: the union holds exactly the points with
-    |u|_1 <= n, and direction-wise there are 2^psi + 1 points of excess 0
-    and 2^(psi+u-1) of excess u >= 1.  A truncated convolution then sums
-    the product counts; everything stays in exact integer arithmetic.
+    A full plan is its one isotropic grid.  Otherwise count by the
+    per-direction refinement excess u = max(level - psi, 0) of a dyadic
+    point: the union holds exactly the points with |u|_1 <= n, and
+    direction-wise there are 2^psi + 1 points of excess 0 and
+    2^(psi+u-1) of excess u >= 1.  A truncated convolution then sums the
+    product counts; everything stays in exact integer arithmetic.
     """
     n, psi = plan.level, plan.psi
+    if plan.technique == FULL:
+        return (2**n + 1) ** plan.dims
     weights = [2**psi + 1] + [2 ** (psi + u - 1) for u in range(1, n + 1)]
     acc = weights[:]
     for _ in range(plan.dims - 1):
@@ -138,7 +153,6 @@ def solve_component_grid(
     config: AmfrW2Config,
     *,
     max_nodes: int | None = None,
-    counters: StepCounters | None = None,
 ) -> float:
     """Price from one full anisotropic grid, in basis points.
 
@@ -151,7 +165,7 @@ def solve_component_grid(
         raise GridTooLargeError(shape.total_points, max_nodes)
     state = initial_state(market, product, shape)
     op = GridOperator(market, product, shape)
-    final = integrate(op, state.values, domain.horizon, config, counters)
+    final = integrate(op, state.values, domain.horizon, config)
     value = interpolate(StateVector(shape, final), domain.eval_point)
     return 1.0e4 * product_discount(market, product) * value
 
@@ -179,13 +193,10 @@ def _solve_term(
     product: ProductSpec,
     domain: DomainSpec,
     config: AmfrW2Config,
-    max_nodes: int | None,
 ) -> ComponentResult:
     """One component solve; module-level so a worker process can run it."""
     started = time.perf_counter()
-    value = solve_component_grid(
-        term.levels, market, product, domain, config, max_nodes=max_nodes
-    )
+    value = solve_component_grid(term.levels, market, product, domain, config)
     shape = shape_for_levels(term.levels, product, domain)
     return ComponentResult(
         term.levels, term.weight, value, time.perf_counter() - started, shape.total_points
@@ -225,7 +236,7 @@ def combine(
 
     started = time.perf_counter()
     workers = min(threads if threads is not None else (os.cpu_count() or 1), len(plan))
-    args = (market, product, domain, config, max_nodes)
+    args = (market, product, domain, config)
     pool = None
     try:
         if workers > 1:

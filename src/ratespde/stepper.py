@@ -5,14 +5,15 @@ The workhorse is a two-stage linearly implicit step whose stage systems
 resolvent factors into the directional resolvents (I - nu*dt*A_i)^{-1},
 applied twice per stage with an explicit correction in between,
 
-    K^(0)    = dt*F(Y_n + a21*K_1) + q21*K_1
+    K^(0)    = dt*F(Y_n + A21*K_1) + Q21*K_1
     K^(i)    = (I - nu*dt*A_i)^{-1} K^(i-1),      i = 1..N
     Khat^(0) = 2 K^(0) - K^(N) + theta*dt*F(K^(N))
     Khat^(i) = (I - nu*dt*A_i)^{-1} Khat^(i-1),   i = 1..N
     K_r      = Khat^(N),
 
-and Y_{n+1} = Y_n + b1*K_1 + b2*K_2.  With theta = (3+sqrt(3))/6 the
-step is third-order accurate.  Per step this costs exactly four
+and Y_{n+1} = Y_n + B1*K_1 + B2*K_2.  A21, Q21, B1 and B2 are fixed
+module constants; theta and nu are settable.  With theta = (3+sqrt(3))/6
+the step is third-order accurate.  Per step this costs exactly four
 right-hand-side evaluations and two sweeps of N directional solves per
 stage (so 4N solves per step), which the counters below record.  Each
 directional solve is one LAPACK tridiagonal solve (see
@@ -32,6 +33,12 @@ import numpy as np
 
 THETA_ORDER3 = (3.0 + math.sqrt(3.0)) / 6.0
 
+# Fixed coefficients of the two-stage method (see the module docstring).
+A21 = 2.0 / 3.0
+Q21 = -4.0 / 3.0
+B1 = 1.25
+B2 = 0.75
+
 
 class SplitOperator(Protocol):
     """What the stepper needs from a spatial operator."""
@@ -45,7 +52,7 @@ class SplitOperator(Protocol):
 
 @dataclass(frozen=True)
 class AmfrW2Config:
-    """Two-stage method coefficients and the time-step count.
+    """The time-step count and the two settable method parameters.
 
     ``nu`` scales the directional resolvents; stability grows with it
     and the usual choice is proportional to the number of split
@@ -55,10 +62,6 @@ class AmfrW2Config:
     num_steps: int
     theta: float = THETA_ORDER3
     nu: float | None = None
-    a21: float = 2.0 / 3.0
-    q21: float = -4.0 / 3.0
-    b1: float = 1.25
-    b2: float = 0.75
 
     def __post_init__(self) -> None:
         if self.num_steps < 1:
@@ -111,7 +114,7 @@ def amfrw2_stage(
     r = len(stages) + 1
     w = config.resolved_nu(op.n_directions) * dt
     if stages:
-        k0 = dt * op.apply(y_n + config.a21 * stages[0]) + config.q21 * stages[0]
+        k0 = dt * op.apply(y_n + A21 * stages[0]) + Q21 * stages[0]
     else:
         k0 = dt * op.apply(y_n)
     if counters is not None:
@@ -136,7 +139,7 @@ def amfrw2_step(
 ) -> np.ndarray:
     k1 = amfrw2_stage(op, y_n, (), dt, config, counters)
     k2 = amfrw2_stage(op, y_n, (k1,), dt, config, counters)
-    return y_n + config.b1 * k1 + config.b2 * k2
+    return y_n + B1 * k1 + B2 * k2
 
 
 def integrate(

@@ -56,6 +56,14 @@ SPARSE_256_STEPS = {8: (6.058984, 1793), 10: (6.058998, 8193), 13: (6.058822, 77
 
 MODIFIED_256_STEPS = {(12, 1): 6.058867, (10, 2): 6.058870}
 
+# The same prices at full precision, frozen from this engine; a 1e-9
+# relative match catches regressions far below the convergence gates.
+SPARSE_256_STEPS_FROZEN = {8: 6.058984253985074, 10: 6.05899813575013, 13: 6.058821918141248}
+
+MODIFIED_256_STEPS_FROZEN = {(12, 1): 6.058867097034906, (10, 2): 6.058869950518735}
+
+FROZEN_RTOL = 1e-9
+
 SV_CAPLET_LEVEL9 = 6.023665
 
 SWAPTION_LEVEL6 = 13.002003
@@ -140,9 +148,11 @@ def test_criterion_3_standard_sparse_caplet(flat_market):
     worst = 0.0
     points_ok = True
     rows = []
+    values = {}
     for level, (expected, expected_points) in SPARSE_256_STEPS.items():
         plan = standard_plan(level, 2)
         result = combine(plan, flat_market, CAPLET, domain, cfg, threads=2)
+        values[level] = result.value_bps
         gap = abs(result.value_bps - expected)
         worst = max(worst, gap)
         points_ok = points_ok and result.total_points == expected_points
@@ -152,6 +162,8 @@ def test_criterion_3_standard_sparse_caplet(flat_market):
         worst <= 1e-3 and points_ok,
         f"{' '.join(rows)}; worst |diff| {worst:.2e} <= 1e-03, point counts exact: {points_ok}",
     )
+    for level, frozen in SPARSE_256_STEPS_FROZEN.items():
+        assert values[level] == pytest.approx(frozen, rel=FROZEN_RTOL, abs=0.0)
 
 
 def test_criterion_4_modified_sparse_caplet(flat_market):
@@ -159,9 +171,11 @@ def test_criterion_4_modified_sparse_caplet(flat_market):
     cfg = AmfrW2Config(num_steps=256)
     worst = 0.0
     rows = []
+    values = {}
     for (level, psi), expected in MODIFIED_256_STEPS.items():
         plan = modified_plan(level, 2, psi)
         result = combine(plan, flat_market, CAPLET, domain, cfg, threads=2)
+        values[level, psi] = result.value_bps
         gap = abs(result.value_bps - expected)
         worst = max(worst, gap)
         rows.append(f"L{level}/psi{psi}={result.value_bps:.6f}")
@@ -170,6 +184,8 @@ def test_criterion_4_modified_sparse_caplet(flat_market):
         worst <= 5e-4,
         f"{' '.join(rows)}; worst |diff| {worst:.2e} <= 5e-04",
     )
+    for key, frozen in MODIFIED_256_STEPS_FROZEN.items():
+        assert values[key] == pytest.approx(frozen, rel=FROZEN_RTOL, abs=0.0)
 
 
 def test_criterion_5_stochastic_vol_caplet(sv_market):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import ratespde.sparse as sparse_mod
 from ratespde import (
     AmfrW2Config,
     ConfigError,
@@ -192,6 +193,18 @@ class TestRun:
         reference = black_caplet_price(cfg.market, 1)
         assert row.error_bps == pytest.approx(abs(direct - reference), rel=1e-15)
 
+    def test_full_grid_never_starts_a_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-term plan must not start a process pool")
+
+        monkeypatch.setattr(sparse_mod, "ProcessPoolExecutor", no_pool)
+        cfg = parse_config(MINIMAL_CAPLET + "threads = 2\n")
+        rows = run(cfg, quiet=True)
+        direct = solve_component_grid(
+            (4, 4), cfg.market, cfg.product, cfg.domain, AmfrW2Config(num_steps=4)
+        )
+        assert rows[0].solution_bps == direct
+
     def test_sparse_rows_report_union_points(self):
         cfg = parse_config(SPARSE_CAPLET)
         rows = run(cfg, quiet=True)
@@ -267,6 +280,15 @@ class TestMain:
         config.write_text(MINIMAL_CAPLET + "theta = nan\n")
         assert main([str(config)]) == 2
         assert "theta must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_reference_exits_before_pricing(self, tmp_path, capsys, value):
+        text = MINIMAL_CAPLET + f"\n[output]\nreference = {value}\n"
+        config = tmp_path / "run.txt"
+        config.write_text(text)
+        assert main([str(config)]) == 2
+        line = len(text.splitlines())
+        assert f"line {line}: reference must be finite" in capsys.readouterr().err
 
     def test_infeasible_grid_fails_cleanly(self, tmp_path, capsys):
         config = tmp_path / "run.txt"

@@ -13,6 +13,7 @@ from ratespde import (
     combine,
     count_points,
     export_plan_csv,
+    full_plan,
     modified_plan,
     shape_for_levels,
     solve_component_grid,
@@ -64,6 +65,11 @@ class TestPlans:
         ]
         assert [(t.levels, t.weight) for t in plan.terms] == expected
 
+    def test_full_plan_is_one_isotropic_term(self):
+        plan = full_plan(5, 3)
+        assert plan.technique == "full"
+        assert [(t.levels, t.weight) for t in plan.terms] == [((5, 5, 5), 1)]
+
     def test_modified_zero_shift_equals_standard(self):
         assert modified_plan(5, 3, 0) == standard_plan(5, 3)
 
@@ -91,23 +97,29 @@ class TestPlans:
 
 class TestCountPoints:
     @pytest.mark.parametrize(
-        "level,dims,psi",
+        "plan",
         [
-            (2, 1, 0),
-            (4, 1, 1),
-            (3, 2, 0),
-            (5, 2, 0),
-            (4, 2, 1),
-            (3, 2, 2),
-            (3, 3, 0),
-            (5, 3, 0),
-            (4, 3, 1),
-            (4, 4, 0),
-            (5, 4, 1),
+            pytest.param(modified_plan(level, dims, psi), id=f"{level}-{dims}-{psi}")
+            for level, dims, psi in [
+                (2, 1, 0),
+                (4, 1, 1),
+                (3, 2, 0),
+                (5, 2, 0),
+                (4, 2, 1),
+                (3, 2, 2),
+                (3, 3, 0),
+                (5, 3, 0),
+                (4, 3, 1),
+                (4, 4, 0),
+                (5, 4, 1),
+            ]
+        ]
+        + [
+            pytest.param(full_plan(level, dims), id=f"full-{level}-{dims}")
+            for level, dims in [(0, 2), (3, 1), (4, 2), (3, 3), (2, 4)]
         ],
     )
-    def test_matches_bruteforce_union(self, level, dims, psi):
-        plan = modified_plan(level, dims, psi)
+    def test_matches_bruteforce_union(self, plan):
         assert count_points(plan) == union_count_bruteforce(plan)
 
     def test_one_dimension_closed_form(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from ratespde.reference import (
     assemble_directional_matrix,
     assemble_operator_matrix,
 )
+from ratespde.stepper import A21, B1, B2, Q21
 
 from conftest import make_market
 from test_operator import make_operator
@@ -48,8 +50,8 @@ def scalar_step_exact(y, lam, dt, cfg: AmfrW2Config) -> float:
     s = 1.0 / (1.0 - cfg.resolved_nu(1) * z)
     resolvent = s * (2.0 - (1.0 - cfg.theta * z) * s)
     k1 = resolvent * z * y
-    k2 = resolvent * (z * y + (cfg.a21 * z + cfg.q21) * k1)
-    return y + cfg.b1 * k1 + cfg.b2 * k2
+    k2 = resolvent * (z * y + (A21 * z + Q21) * k1)
+    return y + B1 * k1 + B2 * k2
 
 
 class TestScalarSurrogate:
@@ -117,6 +119,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="finite"):
             AmfrW2Config(num_steps=1, nu=value)
 
+    def test_only_steps_theta_and_nu_are_settable(self):
+        names = tuple(f.name for f in dataclasses.fields(AmfrW2Config))
+        assert names == ("num_steps", "theta", "nu")
+
 
 class TestGridStage:
     def test_zero_dynamics_step_is_identity(self, caplet):
@@ -160,13 +166,13 @@ class TestGridStage:
         scale = max(1.0, np.abs(k1_dense).max())
         assert np.abs(k1 - k1_dense).max() <= 1e-11 * scale
 
-        rhs2 = dt * (full @ (y + cfg.a21 * k1_dense)) + cfg.q21 * k1_dense
+        rhs2 = dt * (full @ (y + A21 * k1_dense)) + Q21 * k1_dense
         k2_dense = resolvent @ rhs2
         k2 = amfrw2_stage(op, y, (k1,), dt, cfg)
         assert np.abs(k2 - k2_dense).max() <= 1e-11 * max(1.0, np.abs(k2_dense).max())
 
         stepped = amfrw2_step(op, y, dt, cfg)
-        dense = y + cfg.b1 * k1_dense + cfg.b2 * k2_dense
+        dense = y + B1 * k1_dense + B2 * k2_dense
         assert np.abs(stepped - dense).max() <= 1e-11 * max(1.0, np.abs(dense).max())
 
     def test_outer_components_frozen_over_integration(self, market_sv, caplet):
