@@ -25,7 +25,6 @@ from .market import (
 from .operator import (
     GridOperator,
     StateVector,
-    dump_state,
     initial_state,
     interpolate,
 )
@@ -36,7 +35,6 @@ from .sparse import (
     SparseResult,
     combine,
     count_points,
-    export_plan_csv,
     full_plan,
     modified_plan,
     shape_for_levels,

@@ -26,7 +26,7 @@ from .market import (
     black_caplet_price,
     validate_domain,
 )
-from .sparse import FULL, MODIFIED, combine, full_plan, modified_plan, standard_plan
+from .sparse import FULL, MODIFIED, CombinationPlan, combine, full_plan, modified_plan, standard_plan
 from .stepper import THETA_ORDER3, AmfrW2Config
 
 SPARSE = "sparse"
@@ -227,6 +227,15 @@ def _build_domain(raw: _Raw, market: MarketData, product: ProductSpec) -> Domain
         raise ConfigError(f"invalid domain: {err}") from None
 
 
+def _plan(technique: str, level: int, dims: int, psi: int) -> CombinationPlan:
+    """One level's plan; the plan builders own the level-range rules."""
+    if technique == FULL:
+        return full_plan(level, dims)
+    if technique == SPARSE:
+        return standard_plan(level, dims)
+    return modified_plan(level, dims, psi, allow_large_psi=True)
+
+
 def _build_solver_output(
     raw: _Raw, market: MarketData, product: ProductSpec, domain: DomainSpec
 ) -> RunConfig:
@@ -234,12 +243,12 @@ def _build_solver_output(
     technique = technique_raw[0]
     if technique not in (FULL, SPARSE, MODIFIED):
         raise ConfigError(f"unknown technique {technique!r}", technique_raw[1])
-    levels = _parse_list(raw.require("solver", "levels"), int, "integers")
-    steps = _parse_list(raw.require("solver", "steps"), int, "integers")
-    if any(l < 0 for l in levels):
-        raise ConfigError("levels must be nonnegative")
+    levels_raw = raw.require("solver", "levels")
+    levels = _parse_list(levels_raw, int, "integers")
+    steps_raw = raw.require("solver", "steps")
+    steps = _parse_list(steps_raw, int, "integers")
     if any(s < 1 for s in steps):
-        raise ConfigError("steps must be positive")
+        raise ConfigError("steps must be positive", steps_raw[1])
     psi_raw = raw.take("solver", "psi")
     if technique == MODIFIED:
         if psi_raw is None:
@@ -251,6 +260,11 @@ def _build_solver_output(
         if psi_raw is not None:
             raise ConfigError("'psi' only applies to technique 'modified'", psi_raw[1])
         psi = 0
+    for level in levels:
+        try:
+            _plan(technique, level, product.dimension, psi)
+        except ValueError as err:
+            raise ConfigError(str(err), levels_raw[1]) from None
     theta_raw = raw.take("solver", "theta")
     theta = _parse_positive(theta_raw, "theta") if theta_raw else THETA_ORDER3
     nu_raw = raw.take("solver", "nu")
@@ -261,6 +275,8 @@ def _build_solver_output(
         raise ConfigError("threads must be at least 1", threads_raw[1])
     cap_raw = raw.take("solver", "max_nodes")
     max_nodes = _parse_scalar(cap_raw, int, "an integer") if cap_raw else DEFAULT_MAX_NODES
+    if max_nodes < 1:
+        raise ConfigError("max_nodes must be at least 1", cap_raw[1])
     csv_raw = raw.take("output", "csv")
     csv_path = csv_raw[0] if csv_raw else None
     ref_raw = raw.take("output", "reference")
@@ -277,12 +293,6 @@ def _build_solver_output(
         reference = _parse_scalar(ref_raw, float, "'black', 'none' or a number")
         if not math.isfinite(reference):
             raise ConfigError("reference must be finite", ref_raw[1])
-    n_min = product.dimension - 1 if technique in (SPARSE, MODIFIED) else 0
-    for lvl in levels:
-        if lvl < n_min:
-            raise ConfigError(
-                f"level {lvl} too small for a {product.dimension}-dimensional plan"
-            )
     return RunConfig(
         market,
         product,
@@ -364,15 +374,25 @@ def _resolve_reference(cfg: RunConfig) -> float | None:
     return float(cfg.reference)
 
 
-_HEADER = f"{'level':>6} {'steps':>6} {'solution':>12} {'error':>13} {'time':>9} {'grid points':>12}"
+_COLUMNS = (("level", 6), ("steps", 6), ("solution", 12), ("error", 13), ("time", 9), ("grid points", 12))
+_HEADER = " ".join(f"{name:>{width}}" for name, width in _COLUMNS)
+
+
+def _cells(row: TableRow) -> list[str]:
+    """The six cells of a row; the table right-aligns them, the CSV writes them."""
+    err = f"{row.error_bps:.6e}" if row.error_bps is not None else ""
+    return [
+        str(row.level),
+        str(row.steps),
+        f"{row.solution_bps:.6f}",
+        err,
+        f"{row.seconds:.2f}",
+        str(row.grid_points),
+    ]
 
 
 def _format_row(row: TableRow) -> str:
-    err = f"{row.error_bps:.6e}" if row.error_bps is not None else f"{'-':>13}"
-    return (
-        f"{row.level:>6} {row.steps:>6} {row.solution_bps:>12.6f} "
-        f"{err:>13} {row.seconds:>9.2f} {row.grid_points:>12}"
-    )
+    return " ".join(f"{cell or '-':>{width}}" for cell, (_, width) in zip(_cells(row), _COLUMNS))
 
 
 def run(cfg: RunConfig, *, quiet: bool = False, out=None) -> list[TableRow]:
@@ -381,21 +401,14 @@ def run(cfg: RunConfig, *, quiet: bool = False, out=None) -> list[TableRow]:
     for violation in validate_domain(cfg.market, cfg.domain, cfg.product):
         print(f"warning: {violation}", file=sys.stderr)
     reference = _resolve_reference(cfg)
-    dims = cfg.product.dimension
     rows: list[TableRow] = []
     if not quiet:
         print(_HEADER, file=out)
     for steps in cfg.steps:
         int_cfg = AmfrW2Config(num_steps=steps, theta=cfg.theta, nu=cfg.nu)
         for level in cfg.levels:
-            if cfg.technique == FULL:
-                plan = full_plan(level, dims)
-            elif cfg.technique == SPARSE:
-                plan = standard_plan(level, dims)
-            else:
-                plan = modified_plan(level, dims, cfg.psi, allow_large_psi=True)
             result = combine(
-                plan,
+                _plan(cfg.technique, level, cfg.product.dimension, cfg.psi),
                 cfg.market,
                 cfg.product,
                 cfg.domain,
@@ -423,18 +436,7 @@ def _write_csv(path: str, rows: list[TableRow]) -> None:
             writer.writerow(
                 ["level", "steps", "solution_bps", "error_bps", "time_s", "grid_points"]
             )
-            for row in rows:
-                err = f"{row.error_bps:.6e}" if row.error_bps is not None else ""
-                writer.writerow(
-                    [
-                        row.level,
-                        row.steps,
-                        f"{row.solution_bps:.6f}",
-                        err,
-                        f"{row.seconds:.2f}",
-                        row.grid_points,
-                    ]
-                )
+            writer.writerows(_cells(row) for row in rows)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

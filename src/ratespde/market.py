@@ -47,6 +47,9 @@ class MarketData:
         object.__setattr__(self, "initial_forwards", tuple(float(f) for f in self.initial_forwards))
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         object.__setattr__(self, "phis", tuple(float(p) for p in self.phis))
+        for name in ("tenor_dates", "initial_forwards", "alphas", "phis", "strike", "sigma", "lam"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if len(self.tenor_dates) < 2:
             raise ValueError("need at least two tenor dates")
         if any(b - a <= 0.0 for a, b in zip(self.tenor_dates, self.tenor_dates[1:])):
@@ -139,8 +142,8 @@ class DomainSpec:
     eval_point: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.f_max <= 0.0 or self.v_max <= 0.0 or self.horizon <= 0.0:
-            raise ValueError("f_max, v_max and horizon must be positive")
+        if not all(0.0 < x < math.inf for x in (self.f_max, self.v_max, self.horizon)):
+            raise ValueError("f_max, v_max and horizon must be positive and finite")
         bounds = (self.f_max,) * (len(self.eval_point) - 1) + (self.v_max,)
         for x, b in zip(self.eval_point, bounds):
             if not 0.0 < x < b:
@@ -191,7 +194,6 @@ class PdeModel:
         self._alpha = [market.alphas[i] for i in idx]
         self._tau = [market.taus[i] for i in idx]
         self._phi = [market.phis[i] for i in idx]
-        self._time = [market.tenor_dates[i] for i in idx]
 
     def alpha(self, i: int) -> float:
         return self._alpha[i - 1]
@@ -203,7 +205,8 @@ class PdeModel:
         return self._phi[i - 1]
 
     def rho(self, i: int, j: int) -> float:
-        return math.exp(-self.market.lam * abs(self._time[i - 1] - self._time[j - 1]))
+        a = self.product.expiry_index
+        return self.market.correlation(a + i - 1, a + j - 1)
 
     def diffusion(self, i: int, f_i, v):
         """Second-derivative coefficient along direction i.

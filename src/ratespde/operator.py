@@ -353,16 +353,3 @@ def interpolate(state: StateVector, point) -> float:
         flat = sum((c + bit) * e for c, bit, e in zip(cells, corner, offsets))
         value += wgt * float(state.values[flat])
     return value
-
-
-def dump_state(state: StateVector, path) -> None:
-    """Write a state as CSV lines ``index,x_1,...,x_N,value`` for inspection."""
-    shape = state.shape
-    header = "index," + ",".join(f"x_{r}" for r in range(1, shape.ndim + 1)) + ",value"
-    node_map = shape.node_map
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for flat in range(shape.total_points):
-            coords = shape.coordinate(node_map.decode(flat))
-            coord_txt = ",".join(f"{c:.17g}" for c in coords)
-            fh.write(f"{flat},{coord_txt},{state.values[flat]:.17g}\n")

@@ -16,7 +16,6 @@ A full isotropic grid is the degenerate plan: one term of weight 1.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 import multiprocessing
@@ -56,9 +55,6 @@ class CombinationPlan:
 
     def __len__(self) -> int:
         return len(self.terms)
-
-    def __iter__(self) -> Iterator[CombinationTerm]:
-        return iter(self.terms)
 
 
 def _level_vectors(total: int, dims: int) -> Iterator[tuple[int, ...]]:
@@ -259,12 +255,3 @@ def combine(
     return SparseResult(
         value, tuple(components), count_points(plan), time.perf_counter() - started
     )
-
-
-def export_plan_csv(plan: CombinationPlan, path) -> None:
-    """Audit dump: one row per component grid, level vector plus weight."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"l_{i}" for i in range(1, plan.dims + 1)] + ["weight"])
-        for term in plan.terms:
-            writer.writerow(list(term.levels) + [term.weight])

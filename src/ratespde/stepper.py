@@ -20,7 +20,7 @@ directional solve is one LAPACK tridiagonal solve (see
 ``GridOperator.solve_directional``).
 
 The explicit matrix assembly and the theta/Gauss-Seidel integrator that
-the tests compare against live in ``ratespde.reference``.
+the tests compare against live in ``tests/reference.py``.
 """
 
 from __future__ import annotations

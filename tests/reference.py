@@ -1,7 +1,8 @@
 """Reference implementations that tests compare the engine against.
 
-Neither is on the pricing path, and ``import ratespde`` does not load
-this module (nor ``scipy.sparse``):
+Neither is on the pricing path.  They live next to the tests, outside
+the ``ratespde`` package, so ``import ratespde`` loads neither them nor
+``scipy.sparse``:
 
 * ``assemble_operator_matrix`` / ``assemble_directional_matrix`` build
   the operator, or one diffusion block A_i, entry by entry with plain
@@ -20,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .errors import GridTooLargeError
+from ratespde.errors import GridTooLargeError
 
 
 def _assemble(op, node_cap: int | None, directions, coupling: bool) -> sp.csr_matrix:

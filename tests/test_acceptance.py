@@ -34,9 +34,9 @@ from ratespde import (
     solve_component_grid,
     standard_plan,
 )
-from ratespde.reference import ThetaGsConfig, ThetaGsIntegrator, assemble_operator_matrix
 
 from conftest import make_market, record_acceptance
+from reference import ThetaGsConfig, ThetaGsIntegrator, assemble_operator_matrix
 from test_operator import make_operator
 
 CAPLET = ProductSpec("caplet", 1, 2)
@@ -58,6 +58,14 @@ MODIFIED_256_STEPS = {(12, 1): 6.058867, (10, 2): 6.058870}
 
 # The same prices at full precision, frozen from this engine; a 1e-9
 # relative match catches regressions far below the convergence gates.
+FULL_GRID_16_STEPS_FROZEN = {
+    6: 6.082452580466241,
+    7: 6.064014380685044,
+    8: 6.061774148733998,
+    9: 6.0587357925057885,
+    10: 6.058878401245231,
+}
+
 SPARSE_256_STEPS_FROZEN = {8: 6.058984253985074, 10: 6.05899813575013, 13: 6.058821918141248}
 
 MODIFIED_256_STEPS_FROZEN = {(12, 1): 6.058867097034906, (10, 2): 6.058869950518735}
@@ -65,6 +73,8 @@ MODIFIED_256_STEPS_FROZEN = {(12, 1): 6.058867097034906, (10, 2): 6.058869950518
 FROZEN_RTOL = 1e-9
 
 SV_CAPLET_LEVEL9 = 6.023665
+
+SV_CAPLET_LEVEL9_FROZEN = 6.023665398706121
 
 SWAPTION_LEVEL6 = 13.002003
 
@@ -140,6 +150,9 @@ reference = black
         worst <= 1e-3,
         f"{' '.join(cells)}; worst |diff| {worst:.2e} <= 1e-03",
     )
+    for row in rows:
+        frozen = FULL_GRID_16_STEPS_FROZEN[row.level]
+        assert row.solution_bps == pytest.approx(frozen, rel=FROZEN_RTOL, abs=0.0)
 
 
 def test_criterion_3_standard_sparse_caplet(flat_market):
@@ -199,6 +212,7 @@ def test_criterion_5_stochastic_vol_caplet(sv_market):
         gap <= 2e-3,
         f"value {value:.6f} bps vs {SV_CAPLET_LEVEL9} (|diff| {gap:.2e} <= 2e-03)",
     )
+    assert value == pytest.approx(SV_CAPLET_LEVEL9_FROZEN, rel=FROZEN_RTOL, abs=0.0)
 
 
 @functools.lru_cache(maxsize=1)

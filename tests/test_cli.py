@@ -50,6 +50,15 @@ SPARSE_CAPLET = MINIMAL_CAPLET.replace("technique = full", "technique = sparse")
 )
 
 
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter whose import path holds the package source, not the tests."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
 class TestParse:
     def test_minimal_caplet_defaults(self):
         cfg = parse_config(MINIMAL_CAPLET)
@@ -130,6 +139,23 @@ class TestParse:
         text = MINIMAL_CAPLET + f"{key} = {value}\n"
         line = len(text.splitlines())
         with pytest.raises(ConfigError, match=f"line {line}: {key} must be positive and finite"):
+            parse_config(text)
+
+    @pytest.mark.parametrize(
+        "base, old, bad",
+        [
+            (MINIMAL_CAPLET, "steps = 4", "steps = 4\nmax_nodes = 0"),
+            (MINIMAL_CAPLET, "steps = 4", "steps = 4\nmax_nodes = -5"),
+            (MINIMAL_CAPLET, "steps = 4", "steps = 0"),
+            (MINIMAL_CAPLET, "levels = 4", "levels = -1"),
+            (SPARSE_CAPLET, "levels = 5", "levels = 0"),
+        ],
+        ids=["max_nodes=0", "max_nodes=-5", "steps=0", "full-levels=-1", "sparse-levels=0"],
+    )
+    def test_solver_range_errors_name_their_line(self, base, old, bad):
+        text = base.replace(old, bad)
+        line = text.splitlines().index(bad.splitlines()[-1]) + 1
+        with pytest.raises(ConfigError, match=f"^line {line}: "):
             parse_config(text)
 
     def test_sparse_level_must_fit_dimension(self):
@@ -290,6 +316,23 @@ class TestMain:
         line = len(text.splitlines())
         assert f"line {line}: reference must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("sigma = 0.0", "sigma = nan"),
+            ("beta = 1.0", "beta = 1.0\nlambda = nan"),
+            ("f_max = 0.04", "f_max = inf"),
+        ],
+        ids=["sigma=nan", "lambda=nan", "f_max=inf"],
+    )
+    def test_nonfinite_market_or_domain_exits_before_pricing(self, tmp_path, capsys, old, new):
+        config = tmp_path / "run.txt"
+        config.write_text(MINIMAL_CAPLET.replace(old, new))
+        assert main([str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be" in captured.err and "finite" in captured.err
+
     def test_infeasible_grid_fails_cleanly(self, tmp_path, capsys):
         config = tmp_path / "run.txt"
         config.write_text(MINIMAL_CAPLET + "max_nodes = 10\n")
@@ -304,14 +347,17 @@ class TestMain:
         assert "volatility" in capsys.readouterr().err
 
     def test_module_entry_point_runs_without_warning(self):
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
-        proc = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "ratespde.cli", "--help"],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
-        )
+        proc = _python("-W", "error::RuntimeWarning", "-m", "ratespde.cli", "--help")
         assert proc.returncode == 0, proc.stderr
         assert "found in sys.modules" not in proc.stderr
+
+    def test_import_leaves_test_oracles_out(self):
+        code = (
+            "import importlib.util, sys\n"
+            "import ratespde\n"
+            f"ratespde.parse_config({MINIMAL_CAPLET!r})\n"
+            "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse was imported'\n"
+            "assert importlib.util.find_spec('ratespde.reference') is None\n"
+        )
+        proc = _python("-c", code)
+        assert proc.returncode == 0, proc.stderr

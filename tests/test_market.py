@@ -21,6 +21,17 @@ from ratespde import (
 
 from conftest import make_market
 
+MARKET_KWARGS = dict(
+    tenor_dates=(0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0),
+    initial_forwards=(0.0112, 0.0118, 0.0122, 0.0126, 0.0130, 0.0135),
+    alphas=(0.0, 0.2366, 0.2145, 0.2221, 0.2068, 0.1932),
+    strike=0.011,
+    sigma=0.0,
+    phis=(0.0,) * 6,
+    lam=0.1,
+    beta=1.0,
+)
+
 
 class TestMarketData:
     def test_taus_constant_half_year(self, market_flat):
@@ -70,18 +81,30 @@ class TestMarketData:
         ],
     )
     def test_invariants_rejected(self, patch):
-        base = dict(
-            tenor_dates=(0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0),
-            initial_forwards=(0.0112, 0.0118, 0.0122, 0.0126, 0.0130, 0.0135),
-            alphas=(0.0, 0.2366, 0.2145, 0.2221, 0.2068, 0.1932),
-            strike=0.011,
-            sigma=0.0,
-            phis=(0.0,) * 6,
-            lam=0.1,
-            beta=1.0,
-        )
-        base.update(patch)
+        base = dict(MARKET_KWARGS, **patch)
         with pytest.raises(ValueError):
+            MarketData(**base)
+
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            dict(tenor_dates=(0.0, 0.5, 1.0, 1.5, 2.0, 2.5, math.inf)),
+            dict(tenor_dates=(0.0, 0.5, 1.0, 1.5, 2.0, 2.5, math.nan)),
+            dict(initial_forwards=(0.0112, math.nan, 0.0122, 0.0126, 0.0130, 0.0135)),
+            dict(alphas=(0.0, 0.2366, math.nan, 0.2221, 0.2068, 0.1932)),
+            dict(alphas=(0.0, 0.2366, math.inf, 0.2221, 0.2068, 0.1932)),
+            dict(phis=(0.0, math.nan, 0.0, 0.0, 0.0, 0.0)),
+            dict(strike=math.nan),
+            dict(sigma=math.nan),
+            dict(sigma=math.inf),
+            dict(lam=math.nan),
+            dict(lam=math.inf),
+        ],
+    )
+    def test_nonfinite_rejected(self, patch):
+        base = dict(MARKET_KWARGS, **patch)
+        (name,) = patch
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
             MarketData(**base)
 
 
@@ -296,3 +319,18 @@ class TestDomainSpec:
             DomainSpec.for_product(market_flat, caplet, 0.01, 3.5)  # 0.0118 > f_max
         with pytest.raises(ValueError):
             DomainSpec.for_product(market_flat, caplet, 0.04, 0.5)  # v_eval = 1 > v_max
+
+    @pytest.mark.parametrize(
+        "f_max, v_max, horizon",
+        [
+            (math.inf, 3.5, 0.5),
+            (math.nan, 3.5, 0.5),
+            (0.04, math.inf, 0.5),
+            (0.04, math.nan, 0.5),
+            (0.04, 3.5, math.inf),
+            (0.04, 3.5, math.nan),
+        ],
+    )
+    def test_nonfinite_rejected(self, f_max, v_max, horizon):
+        with pytest.raises(ValueError, match="positive and finite"):
+            DomainSpec(f_max, v_max, horizon, (0.0118, 1.0))

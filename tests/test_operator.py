@@ -11,14 +11,13 @@ from ratespde import (
     PdeModel,
     ProductSpec,
     StateVector,
-    dump_state,
     initial_state,
     interpolate,
     payoff,
 )
-from ratespde.reference import assemble_directional_matrix, assemble_operator_matrix
 
 from conftest import make_market
+from reference import assemble_directional_matrix, assemble_operator_matrix
 
 
 def rng():
@@ -308,16 +307,3 @@ class TestStateVector:
     def test_length_validated(self):
         with pytest.raises(ValueError):
             StateVector(GridShape((4, 4), (1.0, 1.0)), np.zeros(7))
-
-    def test_dump_round_trips_values(self, tmp_path, market_flat, caplet):
-        shape = GridShape((3, 2), (0.04, 3.5))
-        state = initial_state(market_flat, caplet, shape)
-        path = tmp_path / "state.csv"
-        dump_state(state, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "index,x_1,x_2,value"
-        assert len(lines) == 1 + shape.total_points
-        record = lines[1 + shape.node_map.encode((2, 1))].split(",")
-        assert int(record[0]) == shape.node_map.encode((2, 1))
-        assert float(record[1]) == pytest.approx(2 * 0.04 / 3)
-        assert float(record[-1]) == pytest.approx(state.values[shape.node_map.encode((2, 1))])

@@ -12,7 +12,6 @@ from ratespde import (
     GridTooLargeError,
     combine,
     count_points,
-    export_plan_csv,
     full_plan,
     modified_plan,
     shape_for_levels,
@@ -331,14 +330,3 @@ def test_refinement_improves_caplet_accuracy(market_flat, caplet, caplet_domain)
         errors[level] = abs(result.value_bps - reference)
     assert errors[13] < errors[11]
     assert errors[14] < errors[12]
-
-
-def test_export_plan_csv(tmp_path):
-    plan = standard_plan(2, 2)
-    path = tmp_path / "plan.csv"
-    export_plan_csv(plan, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "l_1,l_2,weight"
-    assert lines[1] == "2,0,1"
-    assert lines[-1] == "0,1,-1"
-    assert len(lines) == 1 + len(plan)

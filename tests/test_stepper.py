@@ -17,15 +17,15 @@ from ratespde import (
     initial_state,
     integrate,
 )
-from ratespde.reference import (
+from ratespde.stepper import A21, B1, B2, Q21
+
+from conftest import make_market
+from reference import (
     ThetaGsConfig,
     ThetaGsIntegrator,
     assemble_directional_matrix,
     assemble_operator_matrix,
 )
-from ratespde.stepper import A21, B1, B2, Q21
-
-from conftest import make_market
 from test_operator import make_operator
 
 
