@@ -15,10 +15,12 @@ Implementation notes: the flat vector of a shape reshapes (C order) to an
 ndarray whose *last* axis is direction 1, so all stencils are evaluated
 with numpy slice arithmetic.  The discretisation does not change in
 time, so each operator compiles it once into a table of terms (output
-box, signed input boxes, scaled coefficient array).  A coefficient array
-spans only the axes its PDE coefficient depends on and broadcasts over
-the rest.  Each directional solve is one LAPACK tridiagonal solve over
-the direction's distinct lines chained into a single system.
+rows, signed input views, scaled coefficient array).  A term that spans
+every node of its outer-axis rows (all but the Neumann faces of the
+inner axes) runs on contiguous slabs of a padded copy of the input; its
+coefficient is zero outside its box.  Each directional solve scales the
+direction's distinct lines, chained into one system, to a symmetric
+positive definite tridiagonal matrix and makes one LAPACK solve.
 """
 
 from __future__ import annotations
@@ -59,26 +61,27 @@ class StateVector:
 
 @dataclass(frozen=True)
 class _Term:
-    """One stencil piece: out[out] += coef * (v[in_1] +- v[in_2] +- ...).
+    """One stencil piece: view[out] += coef * (in_1 +- in_2 +- ...).
 
-    The inputs are summed left to right with their signs, the first one
-    positive; ``coef`` already carries the 1/h^2, 1/(2h) or 1/(4 h_i h_k)
-    scale and broadcasts over the output box.
+    The inputs are views of the operator's padded copy of y, summed left
+    to right with their signs, the first one positive; ``coef`` already
+    carries the 1/h^2, 1/(2h) or 1/(4 h_i h_k) scale and broadcasts over
+    ``buf``, the slice of the work array that holds the sum.
     """
 
     kind: tuple  # ("diffusion", i), ("mixed", i, k) or ("advection", i)
     out: tuple[slice, ...]
-    inputs: tuple[tuple[int, tuple[slice, ...]], ...]
+    inputs: tuple[tuple[int, np.ndarray], ...]
     coef: np.ndarray
-    shape: tuple[int, ...]
+    buf: np.ndarray
 
 
 class GridOperator:
     """Semi-discrete right-hand side F(Y) and its directional resolvents.
 
     The discretisation is time independent, so the constructor compiles
-    it once into a term table: per term its kind, output box, signed
-    input boxes and scaled coefficient array.  ``apply`` sums every term
+    it once into a term table: per term its kind, output rows, signed
+    input views and scaled coefficient array.  ``apply`` sums every term
     and ``apply_diffusion(i, .)`` only the direction-i second differences
     (the block A_i); after construction no PDE coefficient is evaluated
     again.  ``solve_directional(i, w, g)`` returns K with
@@ -107,7 +110,15 @@ class GridOperator:
         self._rev = shape.reversed_points
         self._outer_mask: np.ndarray | None = None
         self._factors: dict[tuple[int, float], tuple[np.ndarray, ...]] = {}
-        self._scratch: np.ndarray | None = None
+        # Work arrays reused by every call: an instance must not serve
+        # concurrent ``apply`` calls.  Shifts along the inner axes reach at
+        # most ``pad`` nodes past either end of the padded copy of y.
+        rev = self._rev
+        strides = [math.prod(rev[a + 1 :]) for a in range(len(rev))]
+        pad = sum(strides[1:])
+        self._padded = np.zeros(shape.total_points + 2 * pad)
+        self._y = self._padded[pad : pad + shape.total_points].reshape(rev)
+        scratch = np.empty(shape.total_points)
 
         counts = shape.interior_counts
         h = shape.spacings
@@ -128,14 +139,30 @@ class GridOperator:
             # inputs are (sign, {direction: row shift}) relative to the output box
             if not np.any(coef):  # a vanishing coefficient contributes nothing
                 return
-            boxes = []
-            for sign, moves in inputs:
-                sl = list(out)
-                for r, s in moves.items():
-                    sl[n - r] = slice(out[n - r].start + s, out[n - r].stop + s)
-                boxes.append((sign, tuple(sl)))
-            shp = tuple(s.stop - s.start for s in out)
-            terms.append(_Term(kind, out, tuple(boxes), coef, shp))
+            views = []
+            if all(sl.start == 1 for sl in out[1:]):
+                # a slab: the box's outer-axis rows times every inner node,
+                # so each input is one contiguous run of the padded copy
+                lo, hi = out[0].start * strides[0], out[0].stop * strides[0]
+                shp = (out[0].stop - out[0].start,) + rev[1:]
+                for sign, moves in inputs:
+                    at = pad + sum(s * strides[n - r] for r, s in moves.items())
+                    views.append((sign, self._padded[lo + at : hi + at].reshape(shp)))
+                # the coefficient is zero outside the box on the inner axes,
+                # except where it is constant and the box reaches the top face
+                keep = [a == 0 or (coef.shape[a] == 1 and out[a].stop == rev[a]) for a in range(n)]
+                padded = np.zeros([coef.shape[a] if k else rev[a] for a, k in enumerate(keep)])
+                padded[tuple(slice(None) if k else sl for sl, k in zip(out, keep))] = coef
+                coef, out = padded, out[:1]
+            else:  # a Neumann face of an inner axis keeps its box
+                for sign, moves in inputs:
+                    sl = list(out)
+                    for r, s in moves.items():
+                        sl[n - r] = slice(out[n - r].start + s, out[n - r].stop + s)
+                    views.append((sign, self._y[tuple(sl)]))
+                shp = tuple(sl.stop - sl.start for sl in out)
+            buf = scratch[: math.prod(shp)].reshape(shp)
+            terms.append(_Term(kind, out, tuple(views), coef, buf))
 
         self._interior = box({})
         # axis order of the interior view that solve_directional chains
@@ -146,15 +173,14 @@ class GridOperator:
             chain = (0,) if i == n else (0, n - i)
             cols = tuple(a for a in range(n) if a not in chain)
             self._chains.append((cols + chain, len(cols)))
-        # d_i/h_i^2 over rows 1..M_i of each direction; None where it vanishes
-        self._line_coefs: list[np.ndarray | None] = []
         for i in range(1, n + 1):
             m = counts[i - 1]
+            # d_i/h_i^2 over rows 1..M_i; _build_factor reads it back from the terms
             d = model.diffusion(i, x(i, self._interior), x(n, self._interior)) / h[i - 1] ** 2
-            d = d if np.any(d) else None
-            self._line_coefs.append(d)
-            if d is None:
+            if not np.any(d):
                 continue
+            if d.min() < np.finfo(float).tiny:  # the solve divides each row by it
+                raise ValueError(f"diffusion coefficient of direction {i} underflows on some rows")
             rows = (slice(None),) * (n - i)
             if m >= 2:
                 c = box({i: slice(1, m)})
@@ -181,16 +207,7 @@ class GridOperator:
             coef = coef / (2.0 * h[i - 1])
             add(("advection", i), c, coef, (1, {i: 1}), (-1, {i: -1}))
         self._terms = tuple(terms)
-
-    def _buffer(self, shape: tuple[int, ...]) -> np.ndarray:
-        """Reusable stencil work array; spares the allocator on big grids.
-
-        One operator instance must therefore not be shared by concurrent
-        ``apply`` calls; component-grid solves each build their own.
-        """
-        if self._scratch is None:
-            self._scratch = np.empty(self.shape.total_points)
-        return self._scratch[: math.prod(shape)].reshape(shape)
+        self._diffusive = {t.kind[1] for t in terms if t.kind[0] == "diffusion"}
 
     # -- operator application --------------------------------------------
 
@@ -203,17 +220,20 @@ class GridOperator:
         return self._sum_terms([t for t in self._terms if t.kind == ("diffusion", i)], y)
 
     def _sum_terms(self, terms, y: np.ndarray) -> np.ndarray:
-        v = self._as_view(y)
+        self._y[...] = self._as_view(y)
         out = np.zeros(self.shape.total_points)
         ov = out.reshape(self._rev)
         for term in terms:
-            buf = self._buffer(term.shape)
+            buf = term.buf
             (_, first), (sign, second), *rest = term.inputs
-            (np.add if sign > 0 else np.subtract)(v[first], v[second], out=buf)
+            (np.add if sign > 0 else np.subtract)(first, second, out=buf)
             for sign, inp in rest:
-                (np.add if sign > 0 else np.subtract)(buf, v[inp], out=buf)
+                (np.add if sign > 0 else np.subtract)(buf, inp, out=buf)
             buf *= term.coef
             ov[term.out] += buf
+        # slabs also wrote the frozen lower faces of the inner axes
+        for a in range(1, self.n_directions):
+            ov[(slice(None),) * a + (0,)] = 0.0
         return out
 
     # -- directional resolvent -----------------------------------------
@@ -224,10 +244,10 @@ class GridOperator:
         Frozen rows are identities, so K = g there.  Lines with equal
         coefficients share one factorisation: direction N has a single
         distinct line, a direction i < N one per V row.  The distinct
-        lines are chained, uncoupled, into one tridiagonal system that
-        LAPACK factors with partial pivoting once per (i, w); the factor
-        is cached, and each call is one ``dgttrs`` solve whose
-        right-hand-side columns are the repeats of that chain.
+        lines are chained, uncoupled, into one tridiagonal system, scaled
+        row by row to be symmetric positive definite and factored once per
+        (i, w).  Each call scales g's rows as it copies them out and makes
+        one ``dpttrs`` solve whose columns are the repeats of that chain.
         """
         self.shape.axis_of(i)  # rejects a direction outside 1..N
         if not 0.0 <= w < math.inf:
@@ -235,52 +255,57 @@ class GridOperator:
         if self.check_rhs:
             self._assert_frozen_rows_zero(g)
         out = np.asarray(g, dtype=float).copy()
-        if w == 0.0 or self._line_coefs[i - 1] is None:
+        if w == 0.0 or i not in self._diffusive:
             return out
         factor = self._factors.get((i, w))
         if factor is None:
             factor = self._factors[(i, w)] = self._build_factor(i, w)
-        order, split = self._chains[i - 1]
+        d, e, s = factor
+        order, _ = self._chains[i - 1]
         lines = out.reshape(self._rev)[self._interior].transpose(order)
-        rows = math.prod(lines.shape[split:])
-        # Fortran-ordered right-hand sides, so dgttrs solves them in place
-        b = np.empty((lines.size // rows, factor[1].size))
-        b[:, rows:] = 0.0  # the identity rows that pad a short chain
-        b[:, :rows].reshape(lines.shape)[...] = lines
-        x, info = lapack.dgttrs(*factor, b.T, overwrite_b=True)
+        # Fortran-ordered right-hand sides, so dpttrs solves them in place
+        b = np.empty((lines.size // s.size, s.size))
+        np.multiply(lines, s, out=b.reshape(lines.shape))
+        x, info = lapack.dpttrs(d, e, b.T, overwrite_b=True)
         if info != 0:
             raise FloatingPointError(f"tridiagonal solve failed (info={info})")
-        lines[...] = x.T[:, :rows].reshape(lines.shape)
+        lines[...] = x.T.reshape(lines.shape)
         return out
 
     def lines_in_direction(self, i: int) -> int:
         return self.shape.line_count(i)
 
     def _build_factor(self, i: int, w: float) -> tuple[np.ndarray, ...]:
-        """``dgttrf`` factors of the chained distinct lines of I - w*A_i."""
+        """``dpttrf`` factor of the chained distinct lines of I - w*A_i, and row scales s.
+
+        Row j, (1 + 2wd_j) x_j - wd_j (x_{j-1} + x_{j+1}), times s_j = 1/(w d_j)
+        has diagonal 2 + s_j and off-diagonals -1; the Neumann row (-2wd_M on
+        its lower neighbour) times s_M = 1/(2w d_M) has diagonal 1 + s_M.
+        """
         order, split = self._chains[i - 1]
         m = self.shape.interior_counts[i - 1]
-        counts = tuple(s.stop - s.start for s in self._interior)
-        # w*d_i/h_i^2 with one row per distinct line
-        coefs = np.broadcast_to(self._line_coefs[i - 1], counts).transpose(order)
-        wd = w * coefs[(0,) * split].reshape(-1, m)
-        # scipy's dgttrf needs three rows; a shorter chain gets identity rows
-        size = max(wd.size, 3)
-        d, low, up = np.ones(size), np.zeros(size), np.zeros(size)
-        d_v, low_v, up_v = (a[: wd.size].reshape(wd.shape) for a in (d, low, up))
-        d_v += 2.0 * wd
-        # a row couples to its neighbours on the same line only
-        low_v[:, 1:] = -wd[:, 1:]
-        low_v[:, -1] *= 2.0  # the Neumann face mirrors its lower neighbour
-        up_v[:, :-1] = -wd[:, :-1]
-        *factor, info = lapack.dgttrf(
-            low[1:], d, up[:-1], overwrite_dl=1, overwrite_d=1, overwrite_du=1
-        )
+        counts = tuple(sl.stop - sl.start for sl in self._interior)
+        # d_i/h_i^2 on rows 1..M: the interior term's coefficient (on an inner
+        # axis padded by one zero at either end), then the halved Neumann face
+        axis = self.n_directions - i
+        *inner, face = (t.coef for t in self._terms if t.kind == ("diffusion", i))
+        rows = [c[(slice(None),) * axis + (slice(1, m),)] if axis else c for c in inner]
+        line = np.concatenate(rows + [0.5 * face], axis=axis)
+        # one row per distinct line, in the chain's axis order
+        coefs = np.broadcast_to(line, counts).transpose(order)
+        s = 1.0 / (w * coefs[(0,) * split])
+        s[..., -1] *= 0.5
+        diag = s + 2.0
+        diag[..., -1] = s[..., -1] + 1.0
+        # scipy's dpttrf wants one off-diagonal entry even for a single row
+        e = np.full(max(s.size - 1, 1), -1.0)
+        e[m - 1 :: m] = 0.0  # a row couples to its neighbours on the same line only
+        d, e, info = lapack.dpttrf(diag.reshape(-1), e, overwrite_d=1, overwrite_e=1)
         if info != 0:
             raise FloatingPointError(f"tridiagonal factorisation failed (info={info})")
-        if not all(np.isfinite(a).all() for a in factor[:4]):
+        if not all(np.isfinite(a).all() for a in (d, e, s)):
             raise FloatingPointError("non-finite tridiagonal factor")
-        return tuple(factor)
+        return d, e, s
 
     # -- plumbing --------------------------------------------------------
 

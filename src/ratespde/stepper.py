@@ -16,8 +16,8 @@ module constants; theta and nu are settable.  With theta = (3+sqrt(3))/6
 the step is third-order accurate.  Per step this costs exactly four
 right-hand-side evaluations and two sweeps of N directional solves per
 stage (so 4N solves per step), which the counters below record.  Each
-directional solve is one LAPACK tridiagonal solve (see
-``GridOperator.solve_directional``).
+directional solve is one symmetric positive definite LAPACK tridiagonal
+solve (see ``GridOperator.solve_directional``).
 
 The explicit matrix assembly and the theta/Gauss-Seidel integrator that
 the tests compare against live in ``tests/reference.py``.
@@ -107,11 +107,17 @@ def amfrw2_stage(
     dt: float,
     config: AmfrW2Config,
     counters: StepCounters | None = None,
+    *,
+    checked: bool = True,
 ) -> np.ndarray:
-    """One stage vector K_r; ``stages`` holds the previously computed ones."""
+    """One stage vector K_r; ``stages`` holds the previously computed ones.
+
+    ``checked`` raises on a non-finite value, naming the stage part.
+    """
     if len(stages) > 1:
         raise ValueError("the method has two stages")
     r = len(stages) + 1
+    check = _ensure_finite if checked else lambda x, where: None
     w = config.resolved_nu(op.n_directions) * dt
     if stages:
         k0 = dt * op.apply(y_n + A21 * stages[0]) + Q21 * stages[0]
@@ -119,14 +125,14 @@ def amfrw2_stage(
         k0 = dt * op.apply(y_n)
     if counters is not None:
         counters.rhs_evals += 1
-    _ensure_finite(k0, f"stage {r}, explicit part")
+    check(k0, f"stage {r}, explicit part")
     k_n = _sweep(op, w, k0, counters)
-    _ensure_finite(k_n, f"stage {r}, first sweep")
+    check(k_n, f"stage {r}, first sweep")
     khat = 2.0 * k0 - k_n + (config.theta * dt) * op.apply(k_n)
     if counters is not None:
         counters.rhs_evals += 1
     k = _sweep(op, w, khat, counters)
-    _ensure_finite(k, f"stage {r}, second sweep")
+    check(k, f"stage {r}, second sweep")
     return k
 
 
@@ -137,9 +143,16 @@ def amfrw2_step(
     config: AmfrW2Config,
     counters: StepCounters | None = None,
 ) -> np.ndarray:
-    k1 = amfrw2_stage(op, y_n, (), dt, config, counters)
-    k2 = amfrw2_stage(op, y_n, (k1,), dt, config, counters)
-    return y_n + B1 * k1 + B2 * k2
+    """Y_{n+1}, checked once: a NaN or inf in any stage reaches it through
+    the linear updates, and a failing step is rerun with per-stage checks."""
+    k1 = amfrw2_stage(op, y_n, (), dt, config, counters, checked=False)
+    k2 = amfrw2_stage(op, y_n, (k1,), dt, config, counters, checked=False)
+    y = y_n + B1 * k1 + B2 * k2
+    if not np.all(np.isfinite(y)):
+        k1 = amfrw2_stage(op, y_n, (), dt, config)
+        amfrw2_stage(op, y_n, (k1,), dt, config)
+        _ensure_finite(y, "the step update")
+    return y
 
 
 def integrate(

@@ -339,6 +339,14 @@ class TestMain:
         assert main([str(config)]) == 1
         assert "exceeds the cap" in capsys.readouterr().err
 
+    def test_underflowing_diffusion_exits_without_price(self, tmp_path, capsys):
+        config = tmp_path / "run.txt"
+        config.write_text(MINIMAL_CAPLET.replace("alphas = 0.0, 0.2366", "alphas = 0.0, 1e-160"))
+        assert main([str(config), "--threads", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "diffusion coefficient of direction 1 underflows" in captured.err
+        assert [line.split()[0] for line in captured.out.splitlines()] == ["level"]
+
     def test_unusable_reference_fails_cleanly(self, tmp_path, capsys):
         config = tmp_path / "run.txt"
         text = MINIMAL_CAPLET.replace("alphas = 0.0, 0.2366", "alphas = 0.0, 0.0")

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -183,6 +185,33 @@ class TestApply:
         y = rng().normal(size=shape.total_points)
         assert np.array_equal(op.apply(y), op.apply_diffusion(2, y))
 
+    # sha256 prefixes of apply(y), then apply_diffusion(i, y) for each i,
+    # recorded before terms ran on contiguous slabs; beta = 1 keeps every
+    # coefficient to exactly rounded arithmetic, so the bytes are portable
+    FROZEN_DIGESTS = {
+        (4, 256): ("eb6fb5deb97dced2", "e817176b82770527", "9a2e3de100cdb1e2"),
+        (256, 4): ("6a6a6492cd6abf07", "d7d64ce77f046870", "e7d19342817e8881"),
+        (1, 1024): ("11d09293e25e6e30", "48617af0a1b0440e", "ba7abb0e97f444fd"),
+        (2, 2, 64): ("af773c52d79212b3", "4ba30038419812e5", "b24786d6c577d826",
+                     "9be482dd4c6dd01d"),
+        (8, 4, 2): ("5688b6b36bbf3087", "79252d031dfd0ec8", "9ec80cacf69e4d98",
+                    "5e870e344648bd1d"),
+        (1, 1, 1): ("403d175a06a53ec2", "0999ac880c41fd7a", "66477182265d57a7",
+                    "ae20ef5cd58e7e06"),
+        (2, 3, 2, 3): (
+            "9192fdfa6e2c8b30", "b49c9ba7ff8f886b", "44ffd26c1131d2c3", "d7322a5397a942e1",
+            "b5ccf69e6e7ab9ad",
+        ),
+    }
+
+    @pytest.mark.parametrize("counts", list(FROZEN_DIGESTS))
+    def test_bitwise_equal_to_frozen_outputs(self, counts):
+        op, *_ = make_operator(counts)
+        y = np.random.default_rng(7).normal(size=op.shape.total_points)
+        outs = [op.apply(y)] + [op.apply_diffusion(i, y) for i in range(1, op.n_directions + 1)]
+        digests = tuple(hashlib.sha256(o.tobytes()).hexdigest()[:16] for o in outs)
+        assert digests == self.FROZEN_DIGESTS[counts]
+
     def test_length_checked(self):
         op, *_ = make_operator((4, 4))
         with pytest.raises(ValueError):
@@ -223,7 +252,7 @@ class TestDirectionalSolve:
     )
     def test_residual_all_directions(self, counts):
         # one long chain (thin shapes), many columns (fat ones) and chains
-        # shorter than three rows, which the factor pads with identity rows
+        # of one and two rows
         op, *_ = make_operator(counts)
         g = rng().normal(size=op.shape.total_points) * op.shape.inner_mask()
         for i in range(1, op.n_directions + 1):
@@ -232,16 +261,26 @@ class TestDirectionalSolve:
                 residual = k - w * op.apply_diffusion(i, k) - g
                 assert np.abs(residual).max() <= 1e-12 * np.abs(g).max()
 
-    @pytest.mark.parametrize("counts", [(6, 5), (4, 3, 5), (16, 2), (2, 1), (1, 2), (2, 1, 1)])
+    @pytest.mark.parametrize(
+        "counts",
+        [(6, 5), (4, 3, 5), (16, 2), (2, 1), (1, 2), (2, 1, 1), (1, 1), (2, 2), (1, 1, 1), (32, 32)],
+    )
     def test_matches_dense_solve(self, counts):
+        # chains of one and two rows, and on 32 x 32 a forward direction
+        # whose d_j span six orders of magnitude
         op, *_ = make_operator(counts)
         g = rng().normal(size=op.shape.total_points) * op.shape.inner_mask()
         eye = np.eye(op.shape.total_points)
+        if counts == (32, 32):
+            f, v = op.shape.axis_coordinates(1)[1:], op.shape.axis_coordinates(2)[1:]
+            d = op.model.diffusion(1, f[:, None], v[None, :])
+            assert d.max() / d.min() >= 1e6
         for i in range(1, op.n_directions + 1):
             a_i = assemble_directional_matrix(op, i).toarray()
-            dense = np.linalg.solve(eye - 0.07 * a_i, g)
-            k = op.solve_directional(i, 0.07, g)
-            assert np.abs(k - dense).max() <= 1e-12 * max(1.0, np.abs(dense).max())
+            for w in (0.07, 1.3):
+                dense = np.linalg.solve(eye - w * a_i, g)
+                k = op.solve_directional(i, w, g)
+                assert np.abs(k - dense).max() <= 1e-13 * np.abs(dense).max()
 
     def test_outer_rows_pass_through(self):
         op, *_ = make_operator((5, 4))
@@ -265,6 +304,17 @@ class TestDirectionalSolve:
         assert (1, 0.2) in op._factors
         second = op.solve_directional(1, 0.2, g)
         assert np.array_equal(first, second)
+
+
+class TestCoefficientGuard:
+    # an alpha near 1e-160 is rejected (see test_cli); 1e-140 still solves
+    def test_small_normal_diffusion_accepted(self):
+        market = make_market(sigma=0.3, phi=0.4)
+        small = dataclasses.replace(market, alphas=(0.0, 1e-140) + market.alphas[2:])
+        shape = GridShape((16, 16), (0.04, 3.5))
+        op = GridOperator(small, ProductSpec(CAPLET, 1, 2), shape)
+        g = rng().normal(size=shape.total_points) * shape.inner_mask()
+        assert np.all(np.isfinite(op.solve_directional(1, 0.3, g)))
 
 
 class TestInterpolate:

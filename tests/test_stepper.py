@@ -198,6 +198,37 @@ class TestGridStage:
         with pytest.raises(FloatingPointError, match="stage 1"):
             amfrw2_step(BadOp(1.0), np.array([1.0]), 0.1, AmfrW2Config(num_steps=1))
 
+    @pytest.mark.parametrize(
+        "bad_call, where",
+        [
+            (1, "stage 1, first sweep"),
+            (2, "stage 1, second sweep"),
+            (3, "stage 2, first sweep"),
+            (0, "stage 2, second sweep"),
+        ],
+    )
+    def test_late_nonfinite_value_named_by_stage(self, bad_call, where):
+        # the step is checked once; the failing step is recomputed with
+        # per-stage checks, so the same solve of the rerun fails again
+        class LateBadOp(ScalarOp):
+            calls = 0
+
+            def solve_directional(self, i, w, y):
+                self.calls += 1
+                return np.array([math.nan]) if self.calls % 4 == bad_call else y
+
+        with pytest.raises(FloatingPointError, match=where):
+            amfrw2_step(LateBadOp(1.0), np.array([1.0]), 0.1, AmfrW2Config(num_steps=1))
+
+    def test_finite_check_once_per_step(self, monkeypatch):
+        import ratespde.stepper as stepper_mod
+
+        calls = []
+        real = np.isfinite
+        monkeypatch.setattr(stepper_mod.np, "isfinite", lambda x: calls.append(1) or real(x))
+        integrate(ScalarOp(-1.0), np.array([1.0]), 1.0, AmfrW2Config(num_steps=3))
+        assert len(calls) == 3
+
 
 class TestCounters:
     def test_per_step_accounting(self):
