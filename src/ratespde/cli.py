@@ -164,13 +164,7 @@ def parse_config(text: str) -> RunConfig:
     market = _build_market(raw)
     product = _build_product(raw)
     domain = _build_domain(raw, market, product)
-    cfg = _build_solver_output(raw, market, product, domain)
-    leftovers = {s: d for s, d in raw.values.items() if d}
-    if leftovers:
-        sec, entries = next(iter(leftovers.items()))
-        key, (_, line) = next(iter(entries.items()))
-        raise ConfigError(f"key '{key}' is not applicable in section [{sec}]", line)
-    return cfg
+    return _build_solver_output(raw, market, product, domain)
 
 
 def _build_market(raw: _Raw) -> MarketData:
@@ -477,9 +471,14 @@ def main(argv: list[str] | None = None) -> int:
         cfg = replace(cfg, csv_path=args.csv)
     if args.threads is not None:
         cfg = replace(cfg, threads=args.threads)
+    if cfg.csv_path is not None:
+        directory = os.path.dirname(os.path.abspath(cfg.csv_path))
+        if not os.access(directory, os.W_OK | os.X_OK):
+            print(f"error: cannot write {cfg.csv_path}: directory not writable", file=sys.stderr)
+            return 2
     try:
         run(cfg, quiet=args.quiet)
-    except (ComponentSolveError, FloatingPointError, ConfigError, ValueError) as err:
+    except (ComponentSolveError, FloatingPointError, ConfigError, ValueError, OSError) as err:
         cause = f" ({err.__cause__})" if err.__cause__ is not None else ""
         print(f"error: {err}{cause}", file=sys.stderr)
         return 1

@@ -18,14 +18,14 @@ time, so each operator compiles it once into a table of terms (output
 rows, signed input views, scaled coefficient array).  A term that spans
 every node of its outer-axis rows (all but the Neumann faces of the
 inner axes) runs on contiguous slabs of a padded copy of the input; its
-coefficient is zero outside its box.  Each directional solve scales the
-direction's distinct lines, chained into one system, to a symmetric
-positive definite tridiagonal matrix and makes one LAPACK solve.
+coefficient is zero outside its box.  Each directional solve chains the
+direction's distinct lines into one system, scales its rows by 1/d_j,
+fixed at construction, to a symmetric positive definite tridiagonal
+matrix and makes one LAPACK solve.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -54,9 +54,6 @@ class StateVector:
     def view(self) -> np.ndarray:
         """ndarray view with direction 1 on the last axis."""
         return self.values.reshape(self.shape.reversed_points)
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.shape, self.values.copy())
 
 
 @dataclass(frozen=True)
@@ -165,22 +162,24 @@ class GridOperator:
             terms.append(_Term(kind, out, tuple(views), coef, buf))
 
         self._interior = box({})
-        # axis order of the interior view that solve_directional chains
-        # direction i along: right-hand-side columns first, then the V row
-        # (i < N only) and the line itself; split counts the column axes
-        self._chains = []
-        for i in range(1, n + 1):
-            chain = (0,) if i == n else (0, n - i)
-            cols = tuple(a for a in range(n) if a not in chain)
-            self._chains.append((cols + chain, len(cols)))
+        # per diffusive direction i, the axis order of the interior view that
+        # solve_directional chains it along (the axes that repeat the line,
+        # then the V row for i < N, then the line) and the row scales r of
+        # its distinct lines: 1/d_j, and 1/(2 d_M) on the Neumann row
+        self._scales: dict[int, tuple[tuple[int, ...], np.ndarray]] = {}
         for i in range(1, n + 1):
             m = counts[i - 1]
-            # d_i/h_i^2 over rows 1..M_i; _build_factor reads it back from the terms
+            # d_i/h_i^2 over rows 1..M_i
             d = model.diffusion(i, x(i, self._interior), x(n, self._interior)) / h[i - 1] ** 2
             if not np.any(d):
                 continue
             if d.min() < np.finfo(float).tiny:  # the solve divides each row by it
                 raise ValueError(f"diffusion coefficient of direction {i} underflows on some rows")
+            chain = (0,) if i == n else (0, n - i)
+            order = tuple(a for a in range(n) if a not in chain) + chain
+            r = 1.0 / d.transpose(order)[(0,) * (n - len(chain))]
+            r[..., -1] *= 0.5
+            self._scales[i] = (order, r)
             rows = (slice(None),) * (n - i)
             if m >= 2:
                 c = box({i: slice(1, m)})
@@ -207,7 +206,6 @@ class GridOperator:
             coef = coef / (2.0 * h[i - 1])
             add(("advection", i), c, coef, (1, {i: 1}), (-1, {i: -1}))
         self._terms = tuple(terms)
-        self._diffusive = {t.kind[1] for t in terms if t.kind[0] == "diffusion"}
 
     # -- operator application --------------------------------------------
 
@@ -244,10 +242,11 @@ class GridOperator:
         Frozen rows are identities, so K = g there.  Lines with equal
         coefficients share one factorisation: direction N has a single
         distinct line, a direction i < N one per V row.  The distinct
-        lines are chained, uncoupled, into one tridiagonal system, scaled
-        row by row to be symmetric positive definite and factored once per
-        (i, w).  Each call scales g's rows as it copies them out and makes
-        one ``dpttrs`` solve whose columns are the repeats of that chain.
+        lines are chained, uncoupled, into one tridiagonal system whose
+        rows are scaled by 1/d_j, built once per direction, to make it
+        symmetric positive definite; it is factored once per (i, w).  Each
+        call scales g's rows as it copies them out and makes one ``dpttrs``
+        solve whose columns are the repeats of that chain.
         """
         self.shape.axis_of(i)  # rejects a direction outside 1..N
         if not 0.0 <= w < math.inf:
@@ -255,17 +254,17 @@ class GridOperator:
         if self.check_rhs:
             self._assert_frozen_rows_zero(g)
         out = np.asarray(g, dtype=float).copy()
-        if w == 0.0 or i not in self._diffusive:
+        if w == 0.0 or i not in self._scales:
             return out
         factor = self._factors.get((i, w))
         if factor is None:
             factor = self._factors[(i, w)] = self._build_factor(i, w)
-        d, e, s = factor
-        order, _ = self._chains[i - 1]
+        d, e = factor
+        order, r = self._scales[i]
         lines = out.reshape(self._rev)[self._interior].transpose(order)
         # Fortran-ordered right-hand sides, so dpttrs solves them in place
-        b = np.empty((lines.size // s.size, s.size))
-        np.multiply(lines, s, out=b.reshape(lines.shape))
+        b = np.empty((lines.size // r.size, r.size))
+        np.multiply(lines, r, out=b.reshape(lines.shape))
         x, info = lapack.dpttrs(d, e, b.T, overwrite_b=True)
         if info != 0:
             raise FloatingPointError(f"tridiagonal solve failed (info={info})")
@@ -275,37 +274,26 @@ class GridOperator:
     def lines_in_direction(self, i: int) -> int:
         return self.shape.line_count(i)
 
-    def _build_factor(self, i: int, w: float) -> tuple[np.ndarray, ...]:
-        """``dpttrf`` factor of the chained distinct lines of I - w*A_i, and row scales s.
+    def _build_factor(self, i: int, w: float) -> tuple[np.ndarray, np.ndarray]:
+        """``dpttrf`` factor (d, e) of the chained distinct lines of I - w*A_i.
 
-        Row j, (1 + 2wd_j) x_j - wd_j (x_{j-1} + x_{j+1}), times s_j = 1/(w d_j)
-        has diagonal 2 + s_j and off-diagonals -1; the Neumann row (-2wd_M on
-        its lower neighbour) times s_M = 1/(2w d_M) has diagonal 1 + s_M.
+        Row j, (1 + 2wd_j) x_j - wd_j (x_{j-1} + x_{j+1}), times r_j = 1/d_j
+        has diagonal r_j + 2w and off-diagonals -w; the Neumann row (-2wd_M
+        on its lower neighbour) times r_M = 1/(2d_M) has diagonal r_M + w.
         """
-        order, split = self._chains[i - 1]
+        _, r = self._scales[i]
         m = self.shape.interior_counts[i - 1]
-        counts = tuple(sl.stop - sl.start for sl in self._interior)
-        # d_i/h_i^2 on rows 1..M: the interior term's coefficient (on an inner
-        # axis padded by one zero at either end), then the halved Neumann face
-        axis = self.n_directions - i
-        *inner, face = (t.coef for t in self._terms if t.kind == ("diffusion", i))
-        rows = [c[(slice(None),) * axis + (slice(1, m),)] if axis else c for c in inner]
-        line = np.concatenate(rows + [0.5 * face], axis=axis)
-        # one row per distinct line, in the chain's axis order
-        coefs = np.broadcast_to(line, counts).transpose(order)
-        s = 1.0 / (w * coefs[(0,) * split])
-        s[..., -1] *= 0.5
-        diag = s + 2.0
-        diag[..., -1] = s[..., -1] + 1.0
+        diag = r + 2.0 * w
+        diag[..., -1] = r[..., -1] + w
         # scipy's dpttrf wants one off-diagonal entry even for a single row
-        e = np.full(max(s.size - 1, 1), -1.0)
+        e = np.full(max(r.size - 1, 1), -w)
         e[m - 1 :: m] = 0.0  # a row couples to its neighbours on the same line only
         d, e, info = lapack.dpttrf(diag.reshape(-1), e, overwrite_d=1, overwrite_e=1)
         if info != 0:
             raise FloatingPointError(f"tridiagonal factorisation failed (info={info})")
-        if not all(np.isfinite(a).all() for a in (d, e, s)):
+        if not (np.isfinite(d).all() and np.isfinite(e).all()):
             raise FloatingPointError("non-finite tridiagonal factor")
-        return d, e, s
+        return d, e
 
     # -- plumbing --------------------------------------------------------
 
@@ -351,30 +339,20 @@ def initial_state(market: MarketData, product: ProductSpec, shape: GridShape) ->
 def interpolate(state: StateVector, point) -> float:
     """Multilinear interpolation of a grid state at an interior point.
 
+    Blends the enclosing cell linearly along one direction at a time.
     Exact on grid nodes and on any function that is affine per direction.
     """
     shape = state.shape
     if len(point) != shape.ndim:
         raise ValueError(f"point needs {shape.ndim} coordinates")
-    cells: list[int] = []
-    weights: list[float] = []
-    for r in range(1, shape.ndim + 1):
+    value = state.view()
+    for r in range(shape.ndim, 0, -1):  # direction N is the view's first axis
         x = float(point[r - 1])
         bound = shape.bounds[r - 1]
         if not 0.0 <= x <= bound:
             raise ValueError(f"coordinate {x} outside [0, {bound}]")
         t = x / shape.spacings[r - 1]
         cell = min(int(math.floor(t)), shape.interior_counts[r - 1] - 1)
-        cells.append(cell)
-        weights.append(t - cell)
-    offsets = shape.offsets
-    value = 0.0
-    for corner in itertools.product((0, 1), repeat=shape.ndim):
-        wgt = 1.0
-        for bit, w in zip(corner, weights):
-            wgt *= w if bit else 1.0 - w
-        if wgt == 0.0:
-            continue
-        flat = sum((c + bit) * e for c, bit, e in zip(cells, corner, offsets))
-        value += wgt * float(state.values[flat])
-    return value
+        t -= cell
+        value = (1.0 - t) * value[cell] + t * value[cell + 1]
+    return float(value)

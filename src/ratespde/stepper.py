@@ -49,6 +49,8 @@ class SplitOperator(Protocol):
 
     def solve_directional(self, i: int, w: float, g: np.ndarray) -> np.ndarray: ...
 
+    def lines_in_direction(self, i: int) -> int: ...
+
 
 @dataclass(frozen=True)
 class AmfrW2Config:
@@ -89,9 +91,7 @@ def _sweep(op: SplitOperator, w: float, x: np.ndarray, counters: StepCounters | 
         x = op.solve_directional(i, w, x)
         if counters is not None:
             counters.directional_solves += 1
-            lines = getattr(op, "lines_in_direction", None)
-            if lines is not None:
-                counters.tridiagonal_lines += lines(i)
+            counters.tridiagonal_lines += op.lines_in_direction(i)
     return x
 
 

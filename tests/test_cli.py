@@ -1,4 +1,5 @@
 import io
+import math
 import os
 import subprocess
 import sys
@@ -346,6 +347,24 @@ class TestMain:
         captured = capsys.readouterr()
         assert "diffusion coefficient of direction 1 underflows" in captured.err
         assert [line.split()[0] for line in captured.out.splitlines()] == ["level"]
+
+    def test_tiny_normal_diffusion_prices(self, tmp_path, capsys):
+        # alpha^2 F^2 V^2 / h^2 is normal but nu*dt times it is subnormal
+        config = tmp_path / "run.txt"
+        text = MINIMAL_CAPLET.replace("alphas = 0.0, 0.2366", "alphas = 0.0, 5e-153")
+        config.write_text(text.replace("steps = 4", "steps = 256"))
+        assert main([str(config), "--threads", "1"]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split()
+        assert row[:2] == ["4", "256"] and math.isfinite(float(row[2]))
+
+    def test_csv_into_missing_directory_exits_before_pricing(self, tmp_path, capsys):
+        config = tmp_path / "run.txt"
+        config.write_text(MINIMAL_CAPLET)
+        target = tmp_path / "missing" / "out.csv"
+        assert main([str(config), "--csv", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(target) in captured.err
 
     def test_unusable_reference_fails_cleanly(self, tmp_path, capsys):
         config = tmp_path / "run.txt"

@@ -315,6 +315,11 @@ class TestCoefficientGuard:
         op = GridOperator(small, ProductSpec(CAPLET, 1, 2), shape)
         g = rng().normal(size=shape.total_points) * shape.inner_mask()
         assert np.all(np.isfinite(op.solve_directional(1, 0.3, g)))
+        # w*d_j is subnormal here, d_j itself is not
+        a_1 = assemble_directional_matrix(op, 1).toarray()
+        dense = np.linalg.solve(np.eye(shape.total_points) - 1e-30 * a_1, g)
+        k = op.solve_directional(1, 1e-30, g)
+        assert np.abs(k - dense).max() <= 1e-13 * np.abs(dense).max()
 
 
 class TestInterpolate:
@@ -343,6 +348,14 @@ class TestInterpolate:
         state = StateVector(shape, values)
         for px, pv in [(0.31, 2.17), (1.999, 0.001), (2.0, 3.0), (0.0, 0.0)]:
             assert interpolate(state, (px, pv)) == pytest.approx(px * pv, abs=1e-13)
+        # affine in each direction on 3D and 4D grids: 1 + x_1 x_2 ... x_N + x_N
+        for counts, bounds in [((3, 4, 5), (1.0, 2.0, 3.0)), ((2, 3, 2, 3), (0.5, 1.0, 1.5, 2.0))]:
+            shape = GridShape(counts, bounds)
+            axes = np.ix_(*(shape.axis_coordinates(r) for r in range(shape.ndim, 0, -1)))
+            state = StateVector(shape, (1.0 + math.prod(axes) + axes[0]).reshape(-1))
+            for point in [[0.37 * b for b in bounds], list(bounds), [0.0] * len(bounds)]:
+                expected = 1.0 + math.prod(point) + point[-1]
+                assert interpolate(state, point) == pytest.approx(expected, abs=1e-13)
 
     def test_outside_domain_rejected(self, market_flat, caplet):
         shape = GridShape((4, 4), (0.04, 3.5))
