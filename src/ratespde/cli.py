@@ -473,6 +473,9 @@ def main(argv: list[str] | None = None) -> int:
         cfg = replace(cfg, threads=args.threads)
     if cfg.csv_path is not None:
         directory = os.path.dirname(os.path.abspath(cfg.csv_path))
+        if os.path.isdir(cfg.csv_path):
+            print(f"error: cannot write {cfg.csv_path}: is a directory", file=sys.stderr)
+            return 2
         if not os.access(directory, os.W_OK | os.X_OK):
             print(f"error: cannot write {cfg.csv_path}: directory not writable", file=sys.stderr)
             return 2

@@ -14,14 +14,15 @@ while first differences and cross differences are dropped there.
 Implementation notes: the flat vector of a shape reshapes (C order) to an
 ndarray whose *last* axis is direction 1, so all stencils are evaluated
 with numpy slice arithmetic.  The discretisation does not change in
-time, so each operator compiles it once into a table of terms (output
-rows, signed input views, scaled coefficient array).  A term that spans
-every node of its outer-axis rows (all but the Neumann faces of the
-inner axes) runs on contiguous slabs of a padded copy of the input; its
-coefficient is zero outside its box.  Each directional solve chains the
-direction's distinct lines into one system, scales its rows by 1/d_j,
-fixed at construction, to a symmetric positive definite tridiagonal
-matrix and makes one LAPACK solve.
+time, so each operator compiles it once into a flat program of ufunc
+calls on prebuilt views, which a call runs without per-term decisions.
+A term that spans every node of its outer-axis rows (all but the
+Neumann faces of the inner axes) runs on contiguous slabs of a padded
+copy of the input; its coefficient is zero outside its box.  Each
+directional solve chains the direction's distinct lines into one
+system, scales its rows by 1/d_j, fixed at construction, to a symmetric
+positive definite tridiagonal matrix and makes one LAPACK solve, from a
+plan cached per (direction, shift).
 """
 
 from __future__ import annotations
@@ -56,36 +57,23 @@ class StateVector:
         return self.values.reshape(self.shape.reversed_points)
 
 
-@dataclass(frozen=True)
-class _Term:
-    """One stencil piece: view[out] += coef * (in_1 +- in_2 +- ...).
-
-    The inputs are views of the operator's padded copy of y, summed left
-    to right with their signs, the first one positive; ``coef`` already
-    carries the 1/h^2, 1/(2h) or 1/(4 h_i h_k) scale and broadcasts over
-    ``buf``, the slice of the work array that holds the sum.
-    """
-
-    kind: tuple  # ("diffusion", i), ("mixed", i, k) or ("advection", i)
-    out: tuple[slice, ...]
-    inputs: tuple[tuple[int, np.ndarray], ...]
-    coef: np.ndarray
-    buf: np.ndarray
-
-
 class GridOperator:
     """Semi-discrete right-hand side F(Y) and its directional resolvents.
 
     The discretisation is time independent, so the constructor compiles
-    it once into a term table: per term its kind, output rows, signed
-    input views and scaled coefficient array.  ``apply`` sums every term
-    and ``apply_diffusion(i, .)`` only the direction-i second differences
-    (the block A_i); after construction no PDE coefficient is evaluated
-    again.  ``solve_directional(i, w, g)`` returns K with
-    (I - w*A_i) K = g by eliminating the tridiagonal lines of direction
-    i, built from the same direction-i diffusion coefficients; it
-    requires the frozen rows of g to vanish, which holds for every stage
-    right-hand side and is asserted when ``check_rhs`` is set.
+    it once into flat programs of ufunc calls on prebuilt views: per
+    stencil term, the signed sum of its inputs into a work buffer, one
+    multiply by the scaled coefficient (a 0-d array where it is constant
+    over the term's box) and one add into the output.  ``apply`` runs
+    the program of every term and ``apply_diffusion(i, .)`` that of the
+    direction-i second differences (the block A_i); after construction
+    no PDE coefficient is evaluated again.  ``solve_directional(i, w, g)``
+    returns K with (I - w*A_i) K = g by eliminating the tridiagonal lines
+    of direction i, built from the same direction-i diffusion
+    coefficients; it requires the frozen rows of g to vanish, which holds
+    for every stage right-hand side and is asserted when ``check_rhs`` is
+    set.  Both return a new array; an instance must not serve concurrent
+    calls, because every call works in arrays the instance owns.
     """
 
     def __init__(
@@ -104,18 +92,19 @@ class GridOperator:
         self.shape = shape
         self.n_directions = n = shape.ndim
         self.check_rhs = check_rhs
-        self._rev = shape.reversed_points
+        self._rev = rev = shape.reversed_points
         self._outer_mask: np.ndarray | None = None
-        self._factors: dict[tuple[int, float], tuple[np.ndarray, ...]] = {}
-        # Work arrays reused by every call: an instance must not serve
-        # concurrent ``apply`` calls.  Shifts along the inner axes reach at
-        # most ``pad`` nodes past either end of the padded copy of y.
-        rev = self._rev
+        # solve plan per validated (i, w), see solve_directional
+        self._factors: dict[tuple[int, float], tuple] = {}
+        # Shifts along the inner axes reach at most ``pad`` nodes past
+        # either end of the padded copy of y.
         strides = [math.prod(rev[a + 1 :]) for a in range(len(rev))]
         pad = sum(strides[1:])
         self._padded = np.zeros(shape.total_points + 2 * pad)
-        self._y = self._padded[pad : pad + shape.total_points].reshape(rev)
-        scratch = np.empty(shape.total_points)
+        self._flat = self._padded[pad : pad + shape.total_points]
+        self._y = self._flat.reshape(rev)
+        # term sums of apply, and the right-hand sides of every solve
+        self._scratch = scratch = np.empty(shape.total_points)
 
         counts = shape.interior_counts
         h = shape.spacings
@@ -130,12 +119,18 @@ class GridOperator:
             vals = coords[r - 1][out[n - r]]
             return vals.reshape([vals.size if a == n - r else 1 for a in range(n)])
 
-        terms: list[_Term] = []
+        # per term: kind (("diffusion", i), ("mixed", i, k) or ("advection",
+        # i)), output box, and the steps that leave coef * (in_1 +- in_2 +-
+        # ...) in its buffer: inputs summed left to right with their signs,
+        # the first one positive, then times a coefficient that already
+        # carries the 1/h^2, 1/(2h) or 1/(4 h_i h_k) scale
+        terms: list[tuple[tuple, tuple[slice, ...], list[tuple], np.ndarray]] = []
 
         def add(kind, out, coef, *inputs) -> None:
             # inputs are (sign, {direction: row shift}) relative to the output box
             if not np.any(coef):  # a vanishing coefficient contributes nothing
                 return
+            constant = coef.min() == coef.max()
             views = []
             if all(sl.start == 1 for sl in out[1:]):
                 # a slab: the box's outer-axis rows times every inner node,
@@ -147,10 +142,14 @@ class GridOperator:
                     views.append((sign, self._padded[lo + at : hi + at].reshape(shp)))
                 # the coefficient is zero outside the box on the inner axes,
                 # except where it is constant and the box reaches the top face
-                keep = [a == 0 or (coef.shape[a] == 1 and out[a].stop == rev[a]) for a in range(n)]
-                padded = np.zeros([coef.shape[a] if k else rev[a] for a, k in enumerate(keep)])
-                padded[tuple(slice(None) if k else sl for sl, k in zip(out, keep))] = coef
-                coef, out = padded, out[:1]
+                # (the index-0 faces are zeroed once every term has run)
+                constant = constant and all(sl.stop == m for sl, m in zip(out[1:], rev[1:]))
+                if not constant:
+                    keep = [a == 0 or (coef.shape[a] == 1 and out[a].stop == rev[a]) for a in range(n)]
+                    padded = np.zeros([coef.shape[a] if k else rev[a] for a, k in enumerate(keep)])
+                    padded[tuple(slice(None) if k else sl for sl, k in zip(out, keep))] = coef
+                    coef = padded
+                out = out[:1]
             else:  # a Neumann face of an inner axis keeps its box
                 for sign, moves in inputs:
                     sl = list(out)
@@ -158,8 +157,16 @@ class GridOperator:
                         sl[n - r] = slice(out[n - r].start + s, out[n - r].stop + s)
                     views.append((sign, self._y[tuple(sl)]))
                 shp = tuple(sl.stop - sl.start for sl in out)
+            if constant:  # numpy multiplies by a 0-d array faster than by a float
+                coef = np.array(coef.flat[0])
             buf = scratch[: math.prod(shp)].reshape(shp)
-            terms.append(_Term(kind, out, tuple(views), coef, buf))
+            (_, first), *rest = views
+            steps = [
+                (np.add if sign > 0 else np.subtract, buf if j else first, view, buf)
+                for j, (sign, view) in enumerate(rest)
+            ]
+            steps.append((np.multiply, buf, coef, buf))
+            terms.append((kind, out, steps, buf))
 
         self._interior = box({})
         # per diffusive direction i, the axis order of the interior view that
@@ -205,33 +212,54 @@ class GridOperator:
             coef = model.advection(i, [x(j, c) for j in range(2, i + 1)], x(n, c))
             coef = coef / (2.0 * h[i - 1])
             add(("advection", i), c, coef, (1, {i: 1}), (-1, {i: -1}))
-        self._terms = tuple(terms)
+
+        def program(selected) -> tuple[list, list]:
+            """The output boxes and one flat list of (ufunc, in1, in2, out)
+            steps; a term's last step adds its buffer into the output view of
+            box k, which each call makes, so it holds k as in1 and out."""
+            boxes: list[tuple[slice, ...]] = []
+            flat = []
+            for _, out, steps, buf in selected:
+                if out not in boxes:
+                    boxes.append(out)
+                k = boxes.index(out)
+                flat += steps + [(np.add, k, buf, k)]
+            return boxes, flat
+
+        self._program = program(terms)
+        self._diffusion = {
+            i: program([t for t in terms if t[0] == ("diffusion", i)]) for i in range(1, n + 1)
+        }
+        # slabs also write the frozen lower faces of the inner axes
+        self._faces = [(slice(None),) * a + (0,) for a in range(1, n)]
 
     # -- operator application --------------------------------------------
 
     def apply(self, y: np.ndarray) -> np.ndarray:
-        return self._sum_terms(self._terms, y)
+        return self._run(self._program, y)
 
     def apply_diffusion(self, i: int, y: np.ndarray) -> np.ndarray:
         """Only the direction-i diffusion block A_i applied to y."""
         self.shape.axis_of(i)  # rejects a direction outside 1..N
-        return self._sum_terms([t for t in self._terms if t.kind == ("diffusion", i)], y)
+        return self._run(self._diffusion.get(i, ([], [])), y)
 
-    def _sum_terms(self, terms, y: np.ndarray) -> np.ndarray:
-        self._y[...] = self._as_view(y)
-        out = np.zeros(self.shape.total_points)
+    def _run(self, program, y: np.ndarray) -> np.ndarray:
+        boxes, steps = program
+        y = np.asarray(y, dtype=float)
+        if y.shape != self._flat.shape:
+            raise ValueError(
+                f"vector length {y.size} does not match grid ({self.shape.total_points} nodes)"
+            )
+        self._flat[...] = y
+        out = np.zeros(y.size)
         ov = out.reshape(self._rev)
-        for term in terms:
-            buf = term.buf
-            (_, first), (sign, second), *rest = term.inputs
-            (np.add if sign > 0 else np.subtract)(first, second, out=buf)
-            for sign, inp in rest:
-                (np.add if sign > 0 else np.subtract)(buf, inp, out=buf)
-            buf *= term.coef
-            ov[term.out] += buf
-        # slabs also wrote the frozen lower faces of the inner axes
-        for a in range(1, self.n_directions):
-            ov[(slice(None),) * a + (0,)] = 0.0
+        views = [ov[box] for box in boxes]
+        for ufunc, a, b, o in steps:
+            if o.__class__ is int:
+                a = o = views[o]
+            ufunc(a, b, o)
+        for face in self._faces:
+            ov[face] = 0.0
         return out
 
     # -- directional resolvent -----------------------------------------
@@ -244,32 +272,46 @@ class GridOperator:
         distinct line, a direction i < N one per V row.  The distinct
         lines are chained, uncoupled, into one tridiagonal system whose
         rows are scaled by 1/d_j, built once per direction, to make it
-        symmetric positive definite; it is factored once per (i, w).  Each
-        call scales g's rows as it copies them out and makes one ``dpttrs``
-        solve whose columns are the repeats of that chain.
+        symmetric positive definite.  The first call for each (i, w)
+        checks them and caches a plan (see ``_plan``); every call then
+        copies g, scales its interior rows into the plan's Fortran-ordered
+        right-hand sides, makes one ``dpttrs`` solve whose columns are the
+        repeats of the chain, and writes the solution back.
         """
-        self.shape.axis_of(i)  # rejects a direction outside 1..N
-        if not 0.0 <= w < math.inf:
-            raise ValueError("directional solve needs a finite nonnegative shift")
+        plan = self._factors.get((i, w))
+        if plan is None:  # only a valid (i, w) is ever cached
+            plan = self._plan(i, w)
         if self.check_rhs:
             self._assert_frozen_rows_zero(g)
         out = np.asarray(g, dtype=float).copy()
-        if w == 0.0 or i not in self._scales:
-            return out
-        factor = self._factors.get((i, w))
-        if factor is None:
-            factor = self._factors[(i, w)] = self._build_factor(i, w)
-        d, e = factor
-        order, r = self._scales[i]
-        lines = out.reshape(self._rev)[self._interior].transpose(order)
-        # Fortran-ordered right-hand sides, so dpttrs solves them in place
-        b = np.empty((lines.size // r.size, r.size))
-        np.multiply(lines, r, out=b.reshape(lines.shape))
-        x, info = lapack.dpttrs(d, e, b.T, overwrite_b=True)
-        if info != 0:
-            raise FloatingPointError(f"tridiagonal solve failed (info={info})")
-        lines[...] = x.T.reshape(lines.shape)
+        if plan:
+            d, e, order, r, b, bt = plan
+            lines = out.reshape(self._rev)[self._interior].transpose(order)
+            np.multiply(lines, r, b)
+            info = lapack.dpttrs(d, e, bt, overwrite_b=True)[1]
+            if info != 0:
+                raise FloatingPointError(f"tridiagonal solve failed (info={info})")
+            lines[...] = b
         return out
+
+    def _plan(self, i: int, w: float) -> tuple:
+        """Check (i, w) and cache its solve plan: empty for the identity,
+        else the factor (d, e), the chain's axis order and row scales, and
+        its right-hand sides, a view of the work array shared with
+        ``apply``, both in chain order and as the Fortran-ordered matrix
+        that ``dpttrs`` overwrites in place."""
+        self.shape.axis_of(i)  # rejects a direction outside 1..N
+        if not 0.0 <= w < math.inf:
+            raise ValueError("directional solve needs a finite nonnegative shift")
+        plan: tuple = ()
+        if w != 0.0 and i in self._scales:
+            order, r = self._scales[i]
+            d, e = self._build_factor(i, w)
+            # the chain's rows vary fastest
+            b = self._scratch[: self.shape.interior_points].reshape([self._rev[a] - 1 for a in order])
+            plan = (d, e, order, r, b, b.reshape(-1, d.size).T)
+        self._factors[(i, w)] = plan
+        return plan
 
     def lines_in_direction(self, i: int) -> int:
         return self.shape.line_count(i)
@@ -296,14 +338,6 @@ class GridOperator:
         return d, e
 
     # -- plumbing --------------------------------------------------------
-
-    def _as_view(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.shape.total_points,):
-            raise ValueError(
-                f"vector length {y.size} does not match grid ({self.shape.total_points} nodes)"
-            )
-        return y.reshape(self._rev)
 
     def _assert_frozen_rows_zero(self, g: np.ndarray) -> None:
         if self._outer_mask is None:

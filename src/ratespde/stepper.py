@@ -17,7 +17,11 @@ the step is third-order accurate.  Per step this costs exactly four
 right-hand-side evaluations and two sweeps of N directional solves per
 stage (so 4N solves per step), which the counters below record.  Each
 directional solve is one symmetric positive definite LAPACK tridiagonal
-solve (see ``GridOperator.solve_directional``).
+solve (see ``GridOperator.solve_directional``).  The stage and step
+arithmetic runs in place, in arrays that the step made or that ``apply``
+and the solves returned, one operation at a time in the order the
+formulas above give, so the result is bitwise that of the plain
+expressions; the inputs Y_n and K_1 are never written.
 
 The explicit matrix assembly and the theta/Gauss-Seidel integrator that
 the tests compare against live in ``tests/reference.py``.
@@ -41,7 +45,12 @@ B2 = 0.75
 
 
 class SplitOperator(Protocol):
-    """What the stepper needs from a spatial operator."""
+    """What the stepper needs from a spatial operator.
+
+    ``apply`` returns a new array, which the caller may overwrite; so
+    does ``solve_directional``, and never ``g`` itself, because a stage
+    reuses the input of a sweep after the sweep.
+    """
 
     n_directions: int
 
@@ -96,7 +105,7 @@ def _sweep(op: SplitOperator, w: float, x: np.ndarray, counters: StepCounters | 
 
 
 def _ensure_finite(x: np.ndarray, where: str) -> None:
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise FloatingPointError(f"non-finite values in {where}")
 
 
@@ -120,15 +129,24 @@ def amfrw2_stage(
     check = _ensure_finite if checked else lambda x, where: None
     w = config.resolved_nu(op.n_directions) * dt
     if stages:
-        k0 = dt * op.apply(y_n + A21 * stages[0]) + Q21 * stages[0]
+        x = A21 * stages[0]
+        x += y_n
+        k0 = op.apply(x)
+        k0 *= dt
+        k0 += np.multiply(stages[0], Q21, x)
     else:
-        k0 = dt * op.apply(y_n)
+        k0 = op.apply(y_n)
+        k0 *= dt
     if counters is not None:
         counters.rhs_evals += 1
     check(k0, f"stage {r}, explicit part")
     k_n = _sweep(op, w, k0, counters)
     check(k_n, f"stage {r}, first sweep")
-    khat = 2.0 * k0 - k_n + (config.theta * dt) * op.apply(k_n)
+    khat = op.apply(k_n)
+    khat *= config.theta * dt
+    k0 *= 2.0
+    k0 -= k_n
+    khat += k0
     if counters is not None:
         counters.rhs_evals += 1
     k = _sweep(op, w, khat, counters)
@@ -147,8 +165,12 @@ def amfrw2_step(
     the linear updates, and a failing step is rerun with per-stage checks."""
     k1 = amfrw2_stage(op, y_n, (), dt, config, counters, checked=False)
     k2 = amfrw2_stage(op, y_n, (k1,), dt, config, counters, checked=False)
-    y = y_n + B1 * k1 + B2 * k2
-    if not np.all(np.isfinite(y)):
+    y = k1
+    y *= B1
+    y += y_n
+    k2 *= B2
+    y += k2
+    if not np.isfinite(y).all():
         k1 = amfrw2_stage(op, y_n, (), dt, config)
         amfrw2_stage(op, y_n, (k1,), dt, config)
         _ensure_finite(y, "the step update")

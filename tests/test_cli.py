@@ -366,6 +366,21 @@ class TestMain:
         assert captured.out == ""
         assert str(target) in captured.err
 
+    @pytest.mark.parametrize("via_option", [True, False])
+    def test_csv_naming_a_directory_exits_before_pricing(self, tmp_path, capsys, via_option):
+        config = tmp_path / "run.txt"
+        target = tmp_path / "table"
+        target.mkdir()
+        if via_option:
+            config.write_text(MINIMAL_CAPLET)
+            assert main([str(config), "--csv", str(target)]) == 2
+        else:
+            config.write_text(MINIMAL_CAPLET + f"\n[output]\ncsv = {target}\n")
+            assert main([str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(target) in captured.err and "is a directory" in captured.err
+
     def test_unusable_reference_fails_cleanly(self, tmp_path, capsys):
         config = tmp_path / "run.txt"
         text = MINIMAL_CAPLET.replace("alphas = 0.0, 0.2366", "alphas = 0.0, 0.0")

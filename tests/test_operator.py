@@ -297,6 +297,58 @@ class TestDirectionalSolve:
         good = bad * op.shape.inner_mask()
         op.solve_directional(1, 0.1, good)
 
+    # sha256 prefixes of solve_directional(i, w, g) for i = 1..N and
+    # w = 0.07, 1.3, on the shapes of TestApply.FROZEN_DIGESTS, recorded
+    # before the solves ran from cached plans; the factor and the solve
+    # run in LAPACK, so the bytes assume an x86-64 build like scipy's
+    # bundled OpenBLAS
+    FROZEN_DIGESTS = {
+        (4, 256): ("a61f93a613dbc642", "1e42a5055a59632b", "74916b806828474c", "dd926de7a5b68cb8"),
+        (256, 4): ("04edc4c0585a8e3d", "2de799bd228a0875", "c82654a49c56a76d", "7b412060565e5d68"),
+        (1, 1024): ("cc9ecf8203ee72d3", "9bddbef64f897a8e", "b46a9ebc991c0ad4", "d67246b40b0cd342"),
+        (2, 2, 64): ("e64f1681c9b1c3b8", "950cb549a04e4753", "b2c33ee4f75cfdde",
+                     "c7dd3a0e5381ef9d", "69acd6f8129d8da9", "76a0d844bc94b5a5"),
+        (8, 4, 2): ("bcf0b2f0eeb82e8c", "7dc46c1032aef22d", "3cc02d0c535cfd5e",
+                    "292a93ac2b31566a", "a12f2d90a953441d", "56831fb83a2b6bad"),
+        (1, 1, 1): ("3cfb251076465b1d", "52247c84e3d545b8", "79dd48f239d5073c",
+                    "c4a62a11f8750397", "476a6a95a6f96260", "6037c0c6b6852771"),
+        (2, 3, 2, 3): (
+            "b46dd2c3a03c827d", "61f1b92cf34142f0", "dbff40e6a74ba0e5", "6154a40c9544f749",
+            "e41a5fa29b0aa9bd", "34f672a2a8f508cf", "41511ac38385f117", "35c5eba5070fa775",
+        ),
+    }
+
+    @pytest.mark.parametrize("counts", list(FROZEN_DIGESTS))
+    def test_bitwise_equal_to_frozen_outputs(self, counts):
+        op, *_ = make_operator(counts)
+        g = np.random.default_rng(7).normal(size=op.shape.total_points) * op.shape.inner_mask()
+        for _ in range(2):  # the second round runs from the cached plans
+            outs = [
+                op.solve_directional(i, w, g)
+                for i in range(1, op.n_directions + 1)
+                for w in (0.07, 1.3)
+            ]
+            digests = tuple(hashlib.sha256(o.tobytes()).hexdigest()[:16] for o in outs)
+            assert digests == self.FROZEN_DIGESTS[counts]
+
+    def test_bad_input_rejected_after_valid_call_cached(self):
+        op, *_ = make_operator((5, 4))
+        g = rng().normal(size=op.shape.total_points) * op.shape.inner_mask()
+        for i in (1, 2):
+            op.solve_directional(i, 0.3, g)
+        for i in (0, 3):
+            with pytest.raises(ValueError, match="direction"):
+                op.solve_directional(i, 0.3, g)
+        for w in (math.nan, -0.1, math.inf):
+            with pytest.raises(ValueError, match="shift"):
+                op.solve_directional(1, w, g)
+        assert set(op._factors) == {(1, 0.3), (2, 0.3)}
+        with pytest.raises(ValueError):
+            op.solve_directional(1, 0.3, g[:-1])
+        op.check_rhs = True
+        with pytest.raises(ValueError, match="frozen"):
+            op.solve_directional(1, 0.3, g + 1.0)
+
     def test_factor_cache_reused_and_consistent(self):
         op, *_ = make_operator((8, 8))
         g = rng().normal(size=op.shape.total_points) * op.shape.inner_mask()

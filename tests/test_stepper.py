@@ -175,6 +175,24 @@ class TestGridStage:
         dense = y + B1 * k1_dense + B2 * k2_dense
         assert np.abs(stepped - dense).max() <= 1e-11 * max(1.0, np.abs(dense).max())
 
+    @pytest.mark.parametrize("kind", ["grid", "scalar"])
+    def test_inputs_left_untouched(self, kind):
+        # the stage and step arithmetic runs in place, but only in arrays
+        # that the step made or that apply and the solves returned
+        if kind == "grid":
+            op, market, product, shape = make_operator((4, 3, 4))
+            y = initial_state(market, product, shape).values
+        else:
+            op, y = ScalarOp(-2.3), np.array([0.83])
+        cfg = AmfrW2Config(num_steps=1)
+        y_before = y.copy()
+        k1 = amfrw2_stage(op, y, (), 0.05, cfg)
+        k1_before = k1.copy()
+        amfrw2_stage(op, y, (k1,), 0.05, cfg)
+        assert k1.tobytes() == k1_before.tobytes()
+        amfrw2_step(op, y, 0.05, cfg)
+        assert y.tobytes() == y_before.tobytes()
+
     def test_outer_components_frozen_over_integration(self, market_sv, caplet):
         shape = GridShape((8, 8), (0.04, 3.5))
         op = GridOperator(market_sv, caplet, shape)
@@ -215,7 +233,7 @@ class TestGridStage:
 
             def solve_directional(self, i, w, y):
                 self.calls += 1
-                return np.array([math.nan]) if self.calls % 4 == bad_call else y
+                return np.array([math.nan]) if self.calls % 4 == bad_call else y.copy()
 
         with pytest.raises(FloatingPointError, match=where):
             amfrw2_step(LateBadOp(1.0), np.array([1.0]), 0.1, AmfrW2Config(num_steps=1))
