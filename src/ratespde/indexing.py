@@ -136,8 +136,8 @@ class GridShape:
             raise ValueError("interior_counts and bounds must align")
         if any(m < 1 for m in self.interior_counts):
             raise ValueError("each direction needs at least one interval")
-        if any(b <= 0.0 for b in self.bounds):
-            raise ValueError("bounds must be strictly positive")
+        if not all(0.0 < b < math.inf for b in self.bounds):
+            raise ValueError(f"bounds must be finite and strictly positive, got {self.bounds}")
         object.__setattr__(self, "interior_counts", tuple(int(m) for m in self.interior_counts))
         object.__setattr__(self, "bounds", tuple(float(b) for b in self.bounds))
 

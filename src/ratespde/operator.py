@@ -61,19 +61,18 @@ class GridOperator:
     """Semi-discrete right-hand side F(Y) and its directional resolvents.
 
     The discretisation is time independent, so the constructor compiles
-    it once into flat programs of ufunc calls on prebuilt views: per
+    it once into one flat program of ufunc calls on prebuilt views: per
     stencil term, the signed sum of its inputs into a work buffer, one
     multiply by the scaled coefficient (a 0-d array where it is constant
-    over the term's box) and one add into the output.  ``apply`` runs
-    the program of every term and ``apply_diffusion(i, .)`` that of the
-    direction-i second differences (the block A_i); after construction
-    no PDE coefficient is evaluated again.  ``solve_directional(i, w, g)``
-    returns K with (I - w*A_i) K = g by eliminating the tridiagonal lines
-    of direction i, built from the same direction-i diffusion
-    coefficients; it requires the frozen rows of g to vanish, which holds
-    for every stage right-hand side and is asserted when ``check_rhs`` is
-    set.  Both return a new array; an instance must not serve concurrent
-    calls, because every call works in arrays the instance owns.
+    over the term's box) and one add into the output.  ``apply`` runs it;
+    after construction no PDE coefficient is evaluated again.
+    ``solve_directional(i, w, g)`` returns K with (I - w*A_i) K = g, A_i
+    the direction-i second differences, by eliminating the tridiagonal
+    lines of direction i, built from the same diffusion coefficients; it
+    requires the frozen rows of g to vanish, which holds for every stage
+    right-hand side and is asserted when ``check_rhs`` is set.  Both
+    return a new array; an instance must not serve concurrent calls,
+    because every call works in arrays the instance owns.
     """
 
     def __init__(
@@ -97,9 +96,10 @@ class GridOperator:
         # solve plan per validated (i, w), see solve_directional
         self._factors: dict[tuple[int, float], tuple] = {}
         # Shifts along the inner axes reach at most ``pad`` nodes past
-        # either end of the padded copy of y.
-        strides = [math.prod(rev[a + 1 :]) for a in range(len(rev))]
-        pad = sum(strides[1:])
+        # either end of the padded copy of y; direction r, view axis n - r,
+        # has flat stride offsets[r - 1].
+        offsets = shape.offsets
+        pad = sum(offsets[:-1])
         self._padded = np.zeros(shape.total_points + 2 * pad)
         self._flat = self._padded[pad : pad + shape.total_points]
         self._y = self._flat.reshape(rev)
@@ -119,14 +119,13 @@ class GridOperator:
             vals = coords[r - 1][out[n - r]]
             return vals.reshape([vals.size if a == n - r else 1 for a in range(n)])
 
-        # per term: kind (("diffusion", i), ("mixed", i, k) or ("advection",
-        # i)), output box, and the steps that leave coef * (in_1 +- in_2 +-
-        # ...) in its buffer: inputs summed left to right with their signs,
-        # the first one positive, then times a coefficient that already
-        # carries the 1/h^2, 1/(2h) or 1/(4 h_i h_k) scale
-        terms: list[tuple[tuple, tuple[slice, ...], list[tuple], np.ndarray]] = []
+        # the program: output boxes, and flat (ufunc, in1, in2, out) steps
+        # that leave each term's coef * (in_1 +- in_2 +- ...) in its buffer
+        # (the coefficient carries the 1/h^2, 1/(2h) or 1/(4 h_i h_k) scale),
+        # then add it into the output view of box k, which each call makes
+        self._boxes, self._steps = boxes, steps = [], []
 
-        def add(kind, out, coef, *inputs) -> None:
+        def add(out, coef, *inputs) -> None:
             # inputs are (sign, {direction: row shift}) relative to the output box
             if not np.any(coef):  # a vanishing coefficient contributes nothing
                 return
@@ -135,10 +134,10 @@ class GridOperator:
             if all(sl.start == 1 for sl in out[1:]):
                 # a slab: the box's outer-axis rows times every inner node,
                 # so each input is one contiguous run of the padded copy
-                lo, hi = out[0].start * strides[0], out[0].stop * strides[0]
+                lo, hi = out[0].start * offsets[-1], out[0].stop * offsets[-1]
                 shp = (out[0].stop - out[0].start,) + rev[1:]
                 for sign, moves in inputs:
-                    at = pad + sum(s * strides[n - r] for r, s in moves.items())
+                    at = pad + sum(s * offsets[r - 1] for r, s in moves.items())
                     views.append((sign, self._padded[lo + at : hi + at].reshape(shp)))
                 # the coefficient is zero outside the box on the inner axes,
                 # except where it is constant and the box reaches the top face
@@ -161,19 +160,23 @@ class GridOperator:
                 coef = np.array(coef.flat[0])
             buf = scratch[: math.prod(shp)].reshape(shp)
             (_, first), *rest = views
-            steps = [
+            steps.extend(
                 (np.add if sign > 0 else np.subtract, buf if j else first, view, buf)
                 for j, (sign, view) in enumerate(rest)
-            ]
+            )
             steps.append((np.multiply, buf, coef, buf))
-            terms.append((kind, out, steps, buf))
+            if out not in boxes:
+                boxes.append(out)
+            k = boxes.index(out)
+            steps.append((np.add, k, buf, k))
 
         self._interior = box({})
-        # per diffusive direction i, the axis order of the interior view that
-        # solve_directional chains it along (the axes that repeat the line,
-        # then the V row for i < N, then the line) and the row scales r of
-        # its distinct lines: 1/d_j, and 1/(2 d_M) on the Neumann row
-        self._scales: dict[int, tuple[tuple[int, ...], np.ndarray]] = {}
+        # per diffusive direction i, the layout of its chained lines: the
+        # interior view's axis order that chains them (the axes that repeat
+        # the line, then the V row for i < N, then the line), the row scales
+        # r, 1/d_j and 1/(2 d_M) on the Neumann row, and the right-hand
+        # sides in the work array, in chain order and Fortran-ordered
+        self._lines: dict[int, tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]] = {}
         for i in range(1, n + 1):
             m = counts[i - 1]
             # d_i/h_i^2 over rows 1..M_i
@@ -186,15 +189,15 @@ class GridOperator:
             order = tuple(a for a in range(n) if a not in chain) + chain
             r = 1.0 / d.transpose(order)[(0,) * (n - len(chain))]
             r[..., -1] *= 0.5
-            self._scales[i] = (order, r)
+            b = scratch[: shape.interior_points].reshape([rev[a] - 1 for a in order])
+            self._lines[i] = (order, r, b, b.reshape(-1, r.size).T)
             rows = (slice(None),) * (n - i)
             if m >= 2:
                 c = box({i: slice(1, m)})
-                add(("diffusion", i), c, d[rows + (slice(0, m - 1),)],
-                    (1, {i: 1}), (1, {i: -1}), (-1, {}), (-1, {}))
+                add(c, d[rows + (slice(0, m - 1),)], (1, {i: 1}), (1, {i: -1}), (-1, {}), (-1, {}))
             # Neumann face: the second difference mirrors the lower neighbour
             top = box({i: slice(m, m + 1)})
-            add(("diffusion", i), top, 2.0 * d[rows + (slice(m - 1, m),)], (1, {i: -1}), (-1, {}))
+            add(top, 2.0 * d[rows + (slice(m - 1, m),)], (1, {i: -1}), (-1, {}))
         for i in range(1, n):
             for k in range(i + 1, n + 1):
                 mi, mk = counts[i - 1], counts[k - 1]
@@ -202,7 +205,7 @@ class GridOperator:
                     continue
                 c = box({i: slice(1, mi), k: slice(1, mk)})
                 coef = model.mixed(i, k, x(i, c), x(k, c), x(n, c)) / (4.0 * h[i - 1] * h[k - 1])
-                add(("mixed", i, k), c, coef, (1, {i: 1, k: 1}), (1, {i: -1, k: -1}),
+                add(c, coef, (1, {i: 1, k: 1}), (1, {i: -1, k: -1}),
                     (-1, {i: 1, k: -1}), (-1, {i: -1, k: 1}))
         for i in range(2, n):
             mi = counts[i - 1]
@@ -211,40 +214,14 @@ class GridOperator:
             c = box({i: slice(1, mi)})
             coef = model.advection(i, [x(j, c) for j in range(2, i + 1)], x(n, c))
             coef = coef / (2.0 * h[i - 1])
-            add(("advection", i), c, coef, (1, {i: 1}), (-1, {i: -1}))
+            add(c, coef, (1, {i: 1}), (-1, {i: -1}))
 
-        def program(selected) -> tuple[list, list]:
-            """The output boxes and one flat list of (ufunc, in1, in2, out)
-            steps; a term's last step adds its buffer into the output view of
-            box k, which each call makes, so it holds k as in1 and out."""
-            boxes: list[tuple[slice, ...]] = []
-            flat = []
-            for _, out, steps, buf in selected:
-                if out not in boxes:
-                    boxes.append(out)
-                k = boxes.index(out)
-                flat += steps + [(np.add, k, buf, k)]
-            return boxes, flat
-
-        self._program = program(terms)
-        self._diffusion = {
-            i: program([t for t in terms if t[0] == ("diffusion", i)]) for i in range(1, n + 1)
-        }
         # slabs also write the frozen lower faces of the inner axes
         self._faces = [(slice(None),) * a + (0,) for a in range(1, n)]
 
     # -- operator application --------------------------------------------
 
     def apply(self, y: np.ndarray) -> np.ndarray:
-        return self._run(self._program, y)
-
-    def apply_diffusion(self, i: int, y: np.ndarray) -> np.ndarray:
-        """Only the direction-i diffusion block A_i applied to y."""
-        self.shape.axis_of(i)  # rejects a direction outside 1..N
-        return self._run(self._diffusion.get(i, ([], [])), y)
-
-    def _run(self, program, y: np.ndarray) -> np.ndarray:
-        boxes, steps = program
         y = np.asarray(y, dtype=float)
         if y.shape != self._flat.shape:
             raise ValueError(
@@ -253,8 +230,8 @@ class GridOperator:
         self._flat[...] = y
         out = np.zeros(y.size)
         ov = out.reshape(self._rev)
-        views = [ov[box] for box in boxes]
-        for ufunc, a, b, o in steps:
+        views = [ov[box] for box in self._boxes]
+        for ufunc, a, b, o in self._steps:
             if o.__class__ is int:
                 a = o = views[o]
             ufunc(a, b, o)
@@ -296,46 +273,36 @@ class GridOperator:
 
     def _plan(self, i: int, w: float) -> tuple:
         """Check (i, w) and cache its solve plan: empty for the identity,
-        else the factor (d, e), the chain's axis order and row scales, and
-        its right-hand sides, a view of the work array shared with
-        ``apply``, both in chain order and as the Fortran-ordered matrix
-        that ``dpttrs`` overwrites in place."""
-        self.shape.axis_of(i)  # rejects a direction outside 1..N
-        if not 0.0 <= w < math.inf:
-            raise ValueError("directional solve needs a finite nonnegative shift")
-        plan: tuple = ()
-        if w != 0.0 and i in self._scales:
-            order, r = self._scales[i]
-            d, e = self._build_factor(i, w)
-            # the chain's rows vary fastest
-            b = self._scratch[: self.shape.interior_points].reshape([self._rev[a] - 1 for a in order])
-            plan = (d, e, order, r, b, b.reshape(-1, d.size).T)
-        self._factors[(i, w)] = plan
-        return plan
-
-    def lines_in_direction(self, i: int) -> int:
-        return self.shape.line_count(i)
-
-    def _build_factor(self, i: int, w: float) -> tuple[np.ndarray, np.ndarray]:
-        """``dpttrf`` factor (d, e) of the chained distinct lines of I - w*A_i.
+        else the ``dpttrf`` factor (d, e) of the chained distinct lines of
+        I - w*A_i, then the direction's line layout.
 
         Row j, (1 + 2wd_j) x_j - wd_j (x_{j-1} + x_{j+1}), times r_j = 1/d_j
         has diagonal r_j + 2w and off-diagonals -w; the Neumann row (-2wd_M
         on its lower neighbour) times r_M = 1/(2d_M) has diagonal r_M + w.
         """
-        _, r = self._scales[i]
-        m = self.shape.interior_counts[i - 1]
-        diag = r + 2.0 * w
-        diag[..., -1] = r[..., -1] + w
-        # scipy's dpttrf wants one off-diagonal entry even for a single row
-        e = np.full(max(r.size - 1, 1), -w)
-        e[m - 1 :: m] = 0.0  # a row couples to its neighbours on the same line only
-        d, e, info = lapack.dpttrf(diag.reshape(-1), e, overwrite_d=1, overwrite_e=1)
-        if info != 0:
-            raise FloatingPointError(f"tridiagonal factorisation failed (info={info})")
-        if not (np.isfinite(d).all() and np.isfinite(e).all()):
-            raise FloatingPointError("non-finite tridiagonal factor")
-        return d, e
+        self.shape.axis_of(i)  # rejects a direction outside 1..N
+        if not 0.0 <= w < math.inf:
+            raise ValueError("directional solve needs a finite nonnegative shift")
+        plan: tuple = ()
+        if w != 0.0 and i in self._lines:
+            order, r, b, bt = self._lines[i]
+            m = self.shape.interior_counts[i - 1]
+            diag = r + 2.0 * w
+            diag[..., -1] = r[..., -1] + w
+            # scipy's dpttrf wants one off-diagonal entry even for a single row
+            e = np.full(max(r.size - 1, 1), -w)
+            e[m - 1 :: m] = 0.0  # a row couples to its neighbours on the same line only
+            d, e, info = lapack.dpttrf(diag.reshape(-1), e, overwrite_d=1, overwrite_e=1)
+            if info != 0:
+                raise FloatingPointError(f"tridiagonal factorisation failed (info={info})")
+            if not (np.isfinite(d).all() and np.isfinite(e).all()):
+                raise FloatingPointError("non-finite tridiagonal factor")
+            plan = (d, e, order, r, b, bt)
+        self._factors[(i, w)] = plan
+        return plan
+
+    def lines_in_direction(self, i: int) -> int:
+        return self.shape.line_count(i)
 
     # -- plumbing --------------------------------------------------------
 

@@ -147,8 +147,6 @@ def solve_component_grid(
     product: ProductSpec,
     domain: DomainSpec,
     config: AmfrW2Config,
-    *,
-    max_nodes: int | None = None,
 ) -> float:
     """Price from one full anisotropic grid, in basis points.
 
@@ -157,8 +155,6 @@ def solve_component_grid(
     product's discount factor and the basis-point scale.
     """
     shape = shape_for_levels(levels, product, domain)
-    if max_nodes is not None and shape.total_points > max_nodes:
-        raise GridTooLargeError(shape.total_points, max_nodes)
     state = initial_state(market, product, shape)
     op = GridOperator(market, product, shape)
     final = integrate(op, state.values, domain.horizon, config)
@@ -212,7 +208,8 @@ def combine(
     """Solve every component grid and reduce the weighted prices.
 
     ``threads`` is the number of worker processes (default: the cpu
-    count), capped at the number of components; with one worker the
+    count), capped at the cpu count and the number of components, since
+    the pool starts every worker at once; with one worker the
     components are solved in this process.  Every component is checked
     against ``max_nodes`` before any solve starts.  Workers are forked,
     so they see the engine exactly as this process does.  The first
@@ -231,7 +228,8 @@ def combine(
                 raise ComponentSolveError(term.levels) from GridTooLargeError(points, max_nodes)
 
     started = time.perf_counter()
-    workers = min(threads if threads is not None else (os.cpu_count() or 1), len(plan))
+    cpus = os.cpu_count() or 1
+    workers = min(threads or cpus, cpus, len(plan))
     args = (market, product, domain, config)
     pool = None
     try:

@@ -30,6 +30,7 @@ the tests compare against live in ``tests/reference.py``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -45,7 +46,9 @@ B2 = 0.75
 
 
 class SplitOperator(Protocol):
-    """What the stepper needs from a spatial operator.
+    """What the stepper needs from a spatial operator: the full right-hand
+    side F(Y) and the directional resolvents (I - w*A_i)^{-1}; a step never
+    applies a diffusion block A_i on its own.
 
     ``apply`` returns a new array, which the caller may overwrite; so
     does ``solve_directional``, and never ``g`` itself, because a stage
@@ -75,6 +78,10 @@ class AmfrW2Config:
     nu: float | None = None
 
     def __post_init__(self) -> None:
+        try:
+            operator.index(self.num_steps)
+        except TypeError:
+            raise ValueError(f"num_steps must be an integer, got {self.num_steps!r}") from None
         if self.num_steps < 1:
             raise ValueError("need at least one time step")
         if not 0.0 < self.theta < math.inf:

@@ -6,7 +6,7 @@ the ``ratespde`` package, so ``import ratespde`` loads neither them nor
 
 * ``assemble_operator_matrix`` / ``assemble_directional_matrix`` build
   the operator, or one diffusion block A_i, entry by entry with plain
-  loops over the stencil rules, independently of the term table behind
+  loops over the stencil rules, independently of the compiled program behind
   ``GridOperator.apply``;
 * ``ThetaGsIntegrator`` is a theta-method driven by a fixed number of
   Gauss-Seidel sweeps, a second-order reference integrator that works on

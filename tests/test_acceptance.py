@@ -18,6 +18,7 @@ import pytest
 import ratespde.sparse as sparse_mod
 from ratespde import (
     AmfrW2Config,
+    ComponentSolveError,
     DomainSpec,
     FlatIndexMap,
     GridOperator,
@@ -28,6 +29,7 @@ from ratespde import (
     amfrw2_step,
     black_caplet_price,
     combine,
+    full_plan,
     initial_state,
     integrate,
     modified_plan,
@@ -36,7 +38,12 @@ from ratespde import (
 )
 
 from conftest import make_market, record_acceptance
-from reference import ThetaGsConfig, ThetaGsIntegrator, assemble_operator_matrix
+from reference import (
+    ThetaGsConfig,
+    ThetaGsIntegrator,
+    assemble_directional_matrix,
+    assemble_operator_matrix,
+)
 from test_operator import make_operator
 
 CAPLET = ProductSpec("caplet", 1, 2)
@@ -247,9 +254,7 @@ def test_criterion_6b_swaption_full_vs_sparse():
     market = make_market(sigma=0.3, phi=0.4, lam=best)
     domain = DomainSpec.for_product(market, SWAPTION_05X1, 0.04, 3.5)
     cfg = AmfrW2Config(num_steps=16)
-    full = solve_component_grid(
-        (8, 8, 8), market, SWAPTION_05X1, domain, cfg, max_nodes=50_000_000
-    )
+    full = solve_component_grid((8, 8, 8), market, SWAPTION_05X1, domain, cfg)
     sparse = combine(
         standard_plan(14, 3), market, SWAPTION_05X1, domain, cfg, threads=2
     ).value_bps
@@ -352,7 +357,7 @@ def test_criterion_8c_directional_residuals():
         g *= op.shape.inner_mask()
         for i in range(1, op.n_directions + 1):
             k = op.solve_directional(i, 0.8, g)
-            residual = np.abs(k - 0.8 * op.apply_diffusion(i, k) - g).max()
+            residual = np.abs(k - 0.8 * (assemble_directional_matrix(op, i) @ k) - g).max()
             worst = max(worst, residual / np.abs(g).max())
     check(
         "criterion 8c (directional solve residuals)",
@@ -432,8 +437,9 @@ def test_high_dimensional_run_starts_and_admits():
     domain = DomainSpec.for_product(market, product, 0.04, 3.5)
     cfg = AmfrW2Config(num_steps=2)
 
-    with pytest.raises(GridTooLargeError):
-        solve_component_grid((7,) * 6, market, product, domain, cfg, max_nodes=50_000_000)
+    with pytest.raises(ComponentSolveError) as err:
+        combine(full_plan(7, 6), market, product, domain, cfg, max_nodes=50_000_000)
+    assert isinstance(err.value.__cause__, GridTooLargeError)
 
     plan = standard_plan(8, 6)
     result = combine(plan, market, product, domain, cfg, threads=2, max_nodes=1_000_000)

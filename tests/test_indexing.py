@@ -136,3 +136,10 @@ def test_shape_validation():
         GridShape((4, 4), (1.0,))
     with pytest.raises(ValueError):
         GridShape((4,), (0.0,))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_shape_rejects_nonfinite_bounds(bad):
+    with pytest.raises(ValueError, match="finite") as err:
+        GridShape((4, 4), (bad, 1.0))
+    assert str(bad) in str(err.value)

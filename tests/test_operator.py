@@ -37,6 +37,15 @@ def make_operator(shape_counts, *, sigma=0.3, phi=0.4, beta=1.0, n_forwards=None
     return GridOperator(market, product, shape, **kw), market, product, shape
 
 
+def assert_only_diffusion_block(op, i):
+    """The operator is its direction-i diffusion block A_i alone."""
+    a_i = assemble_directional_matrix(op, i)
+    assert (assemble_operator_matrix(op) != a_i).nnz == 0
+    y = rng().normal(size=op.shape.total_points)
+    scale = np.abs(a_i).max() * np.abs(y).max()
+    assert np.abs(op.apply(y) - a_i @ y).max() <= 1e-13 * scale
+
+
 class TestInitialState:
     def test_caplet_values_are_clipped_payoff(self, market_flat, caplet):
         shape = GridShape((4, 4), (0.04, 3.5))
@@ -123,22 +132,6 @@ class TestApply:
         scale = np.abs(matrix).max() * np.abs(y).max()
         assert np.abs(op.apply(y) - reference).max() <= 1e-13 * scale
 
-    @pytest.mark.parametrize("counts", [(4, 5, 3), (2, 3, 2, 3)])
-    def test_split_pieces_sum_to_full(self, counts):
-        # the coupling left after removing every diffusion block agrees
-        # with the loop-assembled cross and drift entries
-        op, *_ = make_operator(counts)
-        y = rng().normal(size=op.shape.total_points)
-        coupling = op.apply(y)
-        matrix = assemble_operator_matrix(op)
-        for i in range(1, op.n_directions + 1):
-            coupling = coupling - op.apply_diffusion(i, y)
-            matrix = matrix - assemble_directional_matrix(op, i)
-        reference = matrix @ y
-        scale = np.abs(assemble_operator_matrix(op)).max() * np.abs(y).max()
-        assert np.abs(reference).max() > 1e-3 * scale
-        assert np.abs(coupling - reference).max() <= 1e-13 * scale
-
     def test_coefficients_evaluated_once(self, monkeypatch):
         calls = {"diffusion": 0, "mixed": 0, "advection": 0}
         for name in calls:
@@ -156,7 +149,6 @@ class TestApply:
         for _ in range(2):
             op.apply(g)
             for i in range(1, op.n_directions + 1):
-                op.apply_diffusion(i, g)
                 for w in (0.05, 1.3):
                     op.solve_directional(i, w, g)
         assert calls == built
@@ -164,8 +156,7 @@ class TestApply:
     def test_single_active_direction_equals_full(self):
         # sigma = 0 silences the vol direction and every coupling term of a caplet
         op, *_ = make_operator((6, 5), sigma=0.0, phi=0.0)
-        y = rng().normal(size=op.shape.total_points)
-        assert np.array_equal(op.apply(y), op.apply_diffusion(1, y))
+        assert_only_diffusion_block(op, 1)
 
     def test_vol_only_dynamics_equals_full(self):
         # dead forwards leave the volatility diffusion as the only term
@@ -182,35 +173,26 @@ class TestApply:
         )
         shape = GridShape((5, 6), (0.04, 3.5))
         op = GridOperator(dead, ProductSpec(CAPLET, 1, 2), shape)
-        y = rng().normal(size=shape.total_points)
-        assert np.array_equal(op.apply(y), op.apply_diffusion(2, y))
+        assert_only_diffusion_block(op, 2)
 
-    # sha256 prefixes of apply(y), then apply_diffusion(i, y) for each i,
-    # recorded before terms ran on contiguous slabs; beta = 1 keeps every
-    # coefficient to exactly rounded arithmetic, so the bytes are portable
+    # sha256 prefixes of apply(y), recorded before terms ran on contiguous
+    # slabs; beta = 1 keeps every coefficient to exactly rounded
+    # arithmetic, so the bytes are portable
     FROZEN_DIGESTS = {
-        (4, 256): ("eb6fb5deb97dced2", "e817176b82770527", "9a2e3de100cdb1e2"),
-        (256, 4): ("6a6a6492cd6abf07", "d7d64ce77f046870", "e7d19342817e8881"),
-        (1, 1024): ("11d09293e25e6e30", "48617af0a1b0440e", "ba7abb0e97f444fd"),
-        (2, 2, 64): ("af773c52d79212b3", "4ba30038419812e5", "b24786d6c577d826",
-                     "9be482dd4c6dd01d"),
-        (8, 4, 2): ("5688b6b36bbf3087", "79252d031dfd0ec8", "9ec80cacf69e4d98",
-                    "5e870e344648bd1d"),
-        (1, 1, 1): ("403d175a06a53ec2", "0999ac880c41fd7a", "66477182265d57a7",
-                    "ae20ef5cd58e7e06"),
-        (2, 3, 2, 3): (
-            "9192fdfa6e2c8b30", "b49c9ba7ff8f886b", "44ffd26c1131d2c3", "d7322a5397a942e1",
-            "b5ccf69e6e7ab9ad",
-        ),
+        (4, 256): "eb6fb5deb97dced2",
+        (256, 4): "6a6a6492cd6abf07",
+        (1, 1024): "11d09293e25e6e30",
+        (2, 2, 64): "af773c52d79212b3",
+        (8, 4, 2): "5688b6b36bbf3087",
+        (1, 1, 1): "403d175a06a53ec2",
+        (2, 3, 2, 3): "9192fdfa6e2c8b30",
     }
 
     @pytest.mark.parametrize("counts", list(FROZEN_DIGESTS))
     def test_bitwise_equal_to_frozen_outputs(self, counts):
         op, *_ = make_operator(counts)
         y = np.random.default_rng(7).normal(size=op.shape.total_points)
-        outs = [op.apply(y)] + [op.apply_diffusion(i, y) for i in range(1, op.n_directions + 1)]
-        digests = tuple(hashlib.sha256(o.tobytes()).hexdigest()[:16] for o in outs)
-        assert digests == self.FROZEN_DIGESTS[counts]
+        assert hashlib.sha256(op.apply(y).tobytes()).hexdigest()[:16] == self.FROZEN_DIGESTS[counts]
 
     def test_length_checked(self):
         op, *_ = make_operator((4, 4))
@@ -220,11 +202,8 @@ class TestApply:
     @pytest.mark.parametrize("i", [0, 3])
     def test_direction_checked(self, i):
         op, *_ = make_operator((4, 4))
-        y = np.zeros(op.shape.total_points)
         with pytest.raises(ValueError):
-            op.apply_diffusion(i, y)
-        with pytest.raises(ValueError):
-            op.solve_directional(i, 0.1, y)
+            op.solve_directional(i, 0.1, np.zeros(op.shape.total_points))
 
 
 class TestDirectionalSolve:
@@ -256,9 +235,10 @@ class TestDirectionalSolve:
         op, *_ = make_operator(counts)
         g = rng().normal(size=op.shape.total_points) * op.shape.inner_mask()
         for i in range(1, op.n_directions + 1):
+            a_i = assemble_directional_matrix(op, i)
             for w in (0.05, 1.3):
                 k = op.solve_directional(i, w, g)
-                residual = k - w * op.apply_diffusion(i, k) - g
+                residual = k - w * (a_i @ k) - g
                 assert np.abs(residual).max() <= 1e-12 * np.abs(g).max()
 
     @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import time
 from fractions import Fraction
@@ -163,8 +164,9 @@ class TestComponentSolve:
 
     def test_admission_control(self, market_flat, caplet, caplet_domain):
         cfg = AmfrW2Config(num_steps=2)
-        with pytest.raises(GridTooLargeError):
-            solve_component_grid((6, 6), market_flat, caplet, caplet_domain, cfg, max_nodes=1000)
+        with pytest.raises(ComponentSolveError) as err:
+            combine(full_plan(6, 2), market_flat, caplet, caplet_domain, cfg, max_nodes=1000)
+        assert isinstance(err.value.__cause__, GridTooLargeError)
 
     def test_level_vector_length_checked(self, market_flat, caplet, caplet_domain):
         cfg = AmfrW2Config(num_steps=2)
@@ -290,6 +292,32 @@ class TestCombine:
         assert err.value.levels == failing
         assert isinstance(err.value.__cause__, FloatingPointError)
         assert len(log.read_text().splitlines()) < len(plan)
+
+    def test_workers_capped_at_cpu_count(self, market_flat, caplet, caplet_domain, monkeypatch):
+        # a recording stand-in for the pool runs each solve at submit, so
+        # no process starts
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, mp_context=None):
+                sizes.append(max_workers)
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(sparse_mod, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(sparse_mod, "solve_component_grid", lambda *a, **k: 1.0)
+        monkeypatch.setattr(sparse_mod.os, "cpu_count", lambda: 2)
+        plan = standard_plan(6, 2)
+        assert len(plan) == 13
+        for threads in (3, 10_000, None):
+            combine(plan, market_flat, caplet, caplet_domain, AmfrW2Config(num_steps=1), threads=threads)
+        assert sizes == [2, 2, 2]
 
     def test_nonpositive_threads_rejected(self, market_flat, caplet, caplet_domain):
         for threads in (0, -3):

@@ -112,6 +112,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ThetaGsConfig(num_steps=1, sweeps=0)
 
+    @pytest.mark.parametrize("steps", [2.5, 4.0, "4"])
+    def test_rejects_noninteger_steps(self, steps):
+        with pytest.raises(ValueError, match="num_steps"):
+            AmfrW2Config(num_steps=steps)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_rejects_nonfinite_theta_and_nu(self, value):
         with pytest.raises(ValueError, match="finite"):
