@@ -13,9 +13,10 @@ direction 1 is always the fastest-varying coordinate.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,8 +29,8 @@ class FlatIndexMap:
 
         J = j_1 + sum_{l>=2} (j_l - m_l) * prod_{r<l} (M_r - m_r + 1),
 
-    whose range is {m_1, ..., size + m_1 - 1}.  The inverse runs the
-    mod-and-divide recurrence, O(N) per call.
+    whose range is {m_1, ..., size + m_1 - 1}, the Fortran-order ravel of
+    the box.  The inverse runs the mod-and-divide recurrence, O(N) per call.
     """
 
     lowers: tuple[int, ...]
@@ -94,6 +95,9 @@ class FlatIndexMap:
     def encode_array(self, j: np.ndarray) -> np.ndarray:
         """Vectorized ``encode``; ``j`` has shape (..., ndim)."""
         j = np.asarray(j)
+        got = j.shape[-1] if j.ndim else 0
+        if got != self.ndim:
+            raise ValueError(f"expected {self.ndim} components, got {got}")
         lo = np.array(self.lowers)
         hi = np.array(self.uppers)
         if np.any(j < lo) or np.any(j > hi):
@@ -101,21 +105,12 @@ class FlatIndexMap:
         return self.lowers[0] + (j - lo) @ np.array(self.strides)
 
     def decode_array(self, flat: np.ndarray) -> np.ndarray:
-        """Vectorized ``decode``; returns shape (..., ndim)."""
+        """Vectorized ``decode`` by a Fortran-order unravel; returns shape (..., ndim)."""
         flat = np.asarray(flat)
         if np.any(flat < self.start) or np.any(flat >= self.stop):
             raise IndexError("flat index out of bounds")
-        c = flat - self.lowers[0]
-        cols = []
-        for m, size in zip(self.lowers, self.sizes):
-            q = c % size
-            c = (c - q) // size
-            cols.append(m + q)
-        return np.stack(cols, axis=-1)
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        for flat in range(self.start, self.stop):
-            yield self.decode(flat)
+        offset = np.unravel_index(flat - self.start, self.sizes, order="F")
+        return np.stack(offset, axis=-1) + self.lowers
 
 
 @dataclass(frozen=True)
@@ -134,11 +129,15 @@ class GridShape:
     def __post_init__(self) -> None:
         if len(self.interior_counts) != len(self.bounds):
             raise ValueError("interior_counts and bounds must align")
-        if any(m < 1 for m in self.interior_counts):
+        try:
+            counts = tuple(operator.index(m) for m in self.interior_counts)
+        except TypeError:
+            raise ValueError(f"interval counts must be integers, got {self.interior_counts}") from None
+        if any(m < 1 for m in counts):
             raise ValueError("each direction needs at least one interval")
         if not all(0.0 < b < math.inf for b in self.bounds):
             raise ValueError(f"bounds must be finite and strictly positive, got {self.bounds}")
-        object.__setattr__(self, "interior_counts", tuple(int(m) for m in self.interior_counts))
+        object.__setattr__(self, "interior_counts", counts)
         object.__setattr__(self, "bounds", tuple(float(b) for b in self.bounds))
 
     @property
@@ -151,11 +150,11 @@ class GridShape:
 
     @cached_property
     def points_per_direction(self) -> tuple[int, ...]:
-        return tuple(m + 1 for m in self.interior_counts)
+        return self.node_map.sizes
 
     @cached_property
     def total_points(self) -> int:
-        return math.prod(self.points_per_direction)
+        return self.node_map.size
 
     @cached_property
     def interior_points(self) -> int:
@@ -164,11 +163,7 @@ class GridShape:
     @cached_property
     def offsets(self) -> tuple[int, ...]:
         """Flat-index shift E_i of the +e_i neighbour: E_1 = 1, E_i = prod_{r<i}(M_r+1)."""
-        acc, out = 1, []
-        for n in self.points_per_direction:
-            out.append(acc)
-            acc *= n
-        return tuple(out)
+        return self.node_map.strides
 
     @cached_property
     def node_map(self) -> FlatIndexMap:
@@ -189,11 +184,8 @@ class GridShape:
 
     def inner_mask(self) -> np.ndarray:
         """Boolean flat mask of the active nodes; True count equals interior_points."""
-        mask = np.ones(self.reversed_points, dtype=bool)
-        for axis in range(self.ndim):
-            sl = [slice(None)] * self.ndim
-            sl[axis] = 0
-            mask[tuple(sl)] = False
+        mask = np.zeros(self.reversed_points, dtype=bool)
+        mask[(slice(1, None),) * self.ndim] = True
         return mask.reshape(-1)
 
     @cached_property

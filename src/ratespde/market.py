@@ -144,8 +144,7 @@ class DomainSpec:
     def __post_init__(self) -> None:
         if not all(0.0 < x < math.inf for x in (self.f_max, self.v_max, self.horizon)):
             raise ValueError("f_max, v_max and horizon must be positive and finite")
-        bounds = (self.f_max,) * (len(self.eval_point) - 1) + (self.v_max,)
-        for x, b in zip(self.eval_point, bounds):
+        for x, b in zip(self.eval_point, self.grid_bounds(len(self.eval_point))):
             if not 0.0 < x < b:
                 raise ValueError(f"evaluation coordinate {x} not strictly inside (0, {b})")
 

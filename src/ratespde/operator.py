@@ -15,10 +15,10 @@ Implementation notes: the flat vector of a shape reshapes (C order) to an
 ndarray whose *last* axis is direction 1, so all stencils are evaluated
 with numpy slice arithmetic.  The discretisation does not change in
 time, so each operator compiles it once into a flat program of ufunc
-calls on prebuilt views, which a call runs without per-term decisions.
-A term that spans every node of its outer-axis rows (all but the
-Neumann faces of the inner axes) runs on contiguous slabs of a padded
-copy of the input; its coefficient is zero outside its box.  Each
+calls on prebuilt views of one padded copy of the input, which a call
+runs without per-term decisions.  A term that spans every node of its
+outer-axis rows (all but the Neumann faces of the inner axes) runs on
+contiguous slabs of it; its coefficient is zero outside its box.  Each
 directional solve chains the direction's distinct lines into one
 system, scales its rows by 1/d_j, fixed at construction, to a symmetric
 positive definite tridiagonal matrix and makes one LAPACK solve, from a
@@ -92,7 +92,6 @@ class GridOperator:
         self.n_directions = n = shape.ndim
         self.check_rhs = check_rhs
         self._rev = rev = shape.reversed_points
-        self._outer_mask: np.ndarray | None = None
         # solve plan per validated (i, w), see solve_directional
         self._factors: dict[tuple[int, float], tuple] = {}
         # Shifts along the inner axes reach at most ``pad`` nodes past
@@ -102,7 +101,6 @@ class GridOperator:
         pad = sum(offsets[:-1])
         self._padded = np.zeros(shape.total_points + 2 * pad)
         self._flat = self._padded[pad : pad + shape.total_points]
-        self._y = self._flat.reshape(rev)
         # term sums of apply, and the right-hand sides of every solve
         self._scratch = scratch = np.empty(shape.total_points)
 
@@ -130,15 +128,8 @@ class GridOperator:
             if not np.any(coef):  # a vanishing coefficient contributes nothing
                 return
             constant = coef.min() == coef.max()
-            views = []
             if all(sl.start == 1 for sl in out[1:]):
-                # a slab: the box's outer-axis rows times every inner node,
-                # so each input is one contiguous run of the padded copy
-                lo, hi = out[0].start * offsets[-1], out[0].stop * offsets[-1]
-                shp = (out[0].stop - out[0].start,) + rev[1:]
-                for sign, moves in inputs:
-                    at = pad + sum(s * offsets[r - 1] for r, s in moves.items())
-                    views.append((sign, self._padded[lo + at : hi + at].reshape(shp)))
+                # a slab: the box's outer-axis rows times every inner node;
                 # the coefficient is zero outside the box on the inner axes,
                 # except where it is constant and the box reaches the top face
                 # (the index-0 faces are zeroed once every term has run)
@@ -149,13 +140,16 @@ class GridOperator:
                     padded[tuple(slice(None) if k else sl for sl, k in zip(out, keep))] = coef
                     coef = padded
                 out = out[:1]
-            else:  # a Neumann face of an inner axis keeps its box
-                for sign, moves in inputs:
-                    sl = list(out)
-                    for r, s in moves.items():
-                        sl[n - r] = slice(out[n - r].start + s, out[n - r].stop + s)
-                    views.append((sign, self._y[tuple(sl)]))
-                shp = tuple(sl.stop - sl.start for sl in out)
+            # each input: the box's outer-axis rows of the padded copy, shifted
+            # by its moves' flat offset and cut to out's inner axes (a slab's
+            # cut is empty, a Neumann face of an inner axis keeps its box)
+            lo, hi = out[0].start * offsets[-1], out[0].stop * offsets[-1]
+            rows, cut = (out[0].stop - out[0].start,) + rev[1:], (slice(None),) + out[1:]
+            views = []
+            for sign, moves in inputs:
+                at = pad + sum(s * offsets[r - 1] for r, s in moves.items())
+                views.append((sign, self._padded[lo + at : hi + at].reshape(rows)[cut]))
+            shp = views[0][1].shape
             if constant:  # numpy multiplies by a 0-d array faster than by a float
                 coef = np.array(coef.flat[0])
             buf = scratch[: math.prod(shp)].reshape(shp)
@@ -307,10 +301,7 @@ class GridOperator:
     # -- plumbing --------------------------------------------------------
 
     def _assert_frozen_rows_zero(self, g: np.ndarray) -> None:
-        if self._outer_mask is None:
-            self._outer_mask = ~self.shape.inner_mask()
-        bad = np.flatnonzero(np.asarray(g)[self._outer_mask])
-        if bad.size:
+        if np.any(np.asarray(g)[~self.shape.inner_mask()]):
             raise ValueError("right-hand side must vanish on frozen (outer) rows")
 
 

@@ -112,21 +112,18 @@ def count_points(plan: CombinationPlan) -> int:
     per-direction refinement excess u = max(level - psi, 0) of a dyadic
     point: the union holds exactly the points with |u|_1 <= n, and
     direction-wise there are 2^psi + 1 points of excess 0 and
-    2^(psi+u-1) of excess u >= 1.  A truncated convolution then sums the
-    product counts; everything stays in exact integer arithmetic.
+    2^(psi+u-1) of excess u >= 1.  The sum of the product counts over
+    every such excess vector stays in exact integer arithmetic.
     """
     n, psi = plan.level, plan.psi
     if plan.technique == FULL:
         return (2**n + 1) ** plan.dims
     weights = [2**psi + 1] + [2 ** (psi + u - 1) for u in range(1, n + 1)]
-    acc = weights[:]
-    for _ in range(plan.dims - 1):
-        nxt = [0] * (n + 1)
-        for s in range(n + 1):
-            for t in range(s + 1):
-                nxt[s] += acc[t] * weights[s - t]
-        acc = nxt
-    return sum(acc)
+    return sum(
+        math.prod(weights[u] for u in excess)
+        for total in range(n + 1)
+        for excess in _level_vectors(total, plan.dims)
+    )
 
 
 def shape_for_levels(

@@ -85,6 +85,12 @@ SV_CAPLET_LEVEL9_FROZEN = 6.023665398706121
 
 SWAPTION_LEVEL6 = 13.002003
 
+# criterion 6a's price per correlation-decay candidate, full precision
+SWAPTION_LEVEL6_FROZEN = {0.05: 13.040035416304372, 0.1: 13.002115624927344, 0.2: 12.928628094999791}
+
+# criterion 6b's full level-8 and sparse level-14 prices, full precision
+SWAPTION_FULL_VS_SPARSE_FROZEN = (12.981397428827634, 12.972694881395661)
+
 
 def check(criterion: str, ok: bool, detail: str) -> None:
     status = "PASS" if ok else "FAIL"
@@ -245,6 +251,8 @@ def test_criterion_6a_swaption_lambda_convention():
         f"lambda={best} gives {values[best]:.6f} bps vs {SWAPTION_LEVEL6} "
         f"(|diff| {gaps[best]:.2e} <= 2e-02; candidates {sorted(gaps)})",
     )
+    for lam, frozen in SWAPTION_LEVEL6_FROZEN.items():
+        assert values[lam] == pytest.approx(frozen, rel=FROZEN_RTOL, abs=0.0)
 
 
 @pytest.mark.slow
@@ -264,6 +272,9 @@ def test_criterion_6b_swaption_full_vs_sparse():
         gap <= 2e-2,
         f"full {full:.6f} vs sparse {sparse:.6f} bps (|diff| {gap:.2e} <= 2e-02, lambda={best})",
     )
+    frozen_full, frozen_sparse = SWAPTION_FULL_VS_SPARSE_FROZEN
+    assert full == pytest.approx(frozen_full, rel=FROZEN_RTOL, abs=0.0)
+    assert sparse == pytest.approx(frozen_sparse, rel=FROZEN_RTOL, abs=0.0)
 
 
 def test_criterion_7_temporal_orders(sv_market, flat_market):

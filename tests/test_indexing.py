@@ -87,6 +87,13 @@ def test_encode_bounds_checked():
         fm.decode(fm.stop)
 
 
+@pytest.mark.parametrize("j", [[2], [[2], [1]], [1, 2, 0], 7])
+def test_encode_array_rejects_wrong_component_count(j):
+    fm = FlatIndexMap(lowers=(0, 0), uppers=(3, 3))
+    with pytest.raises(ValueError, match="expected 2 components"):
+        fm.encode_array(np.array(j))
+
+
 def test_grid_shape_derived_quantities():
     shape = GridShape((4, 2, 8), (0.04, 0.04, 3.5))
     assert shape.points_per_direction == (5, 3, 9)
@@ -143,3 +150,16 @@ def test_shape_rejects_nonfinite_bounds(bad):
     with pytest.raises(ValueError, match="finite") as err:
         GridShape((4, 4), (bad, 1.0))
     assert str(bad) in str(err.value)
+
+
+@pytest.mark.parametrize("bad", [4.5, 4.0, "4", None])
+def test_shape_rejects_noninteger_counts(bad):
+    with pytest.raises(ValueError, match="integers") as err:
+        GridShape((bad, 4), (1.0, 1.0))
+    assert repr(bad) in str(err.value)
+
+
+def test_shape_accepts_numpy_integer_counts():
+    shape = GridShape((np.int64(4), np.int32(2)), (1.0, 1.0))
+    assert shape.interior_counts == (4, 2)
+    assert all(type(m) is int for m in shape.interior_counts)
