@@ -3,9 +3,9 @@
 The semi-discrete system keeps every grid node in one flat vector.  Nodes
 with any zero component ("outer": the lower Dirichlet faces) are frozen
 at their payoff values and have identically zero rows; all other nodes
-("inner") carry second-order central differences with two modifications
-on the upper faces j_i = M_i, where the homogeneous Neumann condition is
-imposed: the second difference mirrors the lower neighbour,
+("inner") carry second-order central differences.  On the upper faces
+j_i = M_i the homogeneous Neumann condition is imposed by a mirrored
+ghost node Y[J+E_i] = Y[J-E_i], so the second difference there reads
 
     (2 Y[J-E_i] - 2 Y[J]) / h_i^2,
 
@@ -15,14 +15,14 @@ Implementation notes: the flat vector of a shape reshapes (C order) to an
 ndarray whose *last* axis is direction 1, so all stencils are evaluated
 with numpy slice arithmetic.  The discretisation does not change in
 time, so each operator compiles it once into a flat program of ufunc
-calls on prebuilt views of one padded copy of the input, which a call
-runs without per-term decisions.  A term that spans every node of its
-outer-axis rows (all but the Neumann faces of the inner axes) runs on
-contiguous slabs of it; its coefficient is zero outside its box.  Each
-directional solve chains the direction's distinct lines into one
-system, scales its rows by 1/d_j, fixed at construction, to a symmetric
-positive definite tridiagonal matrix and makes one LAPACK solve, from a
-plan cached per (direction, shift).
+calls on prebuilt views of one padded copy of the input, extended by the
+ghost layer, which a call runs without per-term decisions.  Every term
+runs on the same contiguous slab: the inner nodes' outer-axis rows, taken
+as whole rows of the extended grid.  Each directional solve chains the
+direction's distinct lines into one system, scales its rows by 1/d_j,
+fixed at construction, to a symmetric positive definite tridiagonal
+matrix and makes one LAPACK solve, from a plan cached per (direction,
+shift).
 """
 
 from __future__ import annotations
@@ -62,17 +62,21 @@ class GridOperator:
 
     The discretisation is time independent, so the constructor compiles
     it once into one flat program of ufunc calls on prebuilt views: per
-    stencil term, the signed sum of its inputs into a work buffer, one
-    multiply by the scaled coefficient (a 0-d array where it is constant
-    over the term's box) and one add into the output.  ``apply`` runs it;
-    after construction no PDE coefficient is evaluated again.
-    ``solve_directional(i, w, g)`` returns K with (I - w*A_i) K = g, A_i
-    the direction-i second differences, by eliminating the tridiagonal
-    lines of direction i, built from the same diffusion coefficients; it
-    requires the frozen rows of g to vanish, which holds for every stage
-    right-hand side and is asserted when ``check_rhs`` is set.  Both
-    return a new array; an instance must not serve concurrent calls,
-    because every call works in arrays the instance owns.
+    stencil term, the signed sum of its inputs into a work buffer and one
+    multiply by the scaled coefficient; the first term works in the
+    accumulator, every later term adds its product to it.  Each term
+    spans the same slab of the ghost-extended grid; a cross or drift
+    coefficient is zero on the upper faces of its directions.
+    ``apply`` mirrors the ghosts, runs the program and copies the slab's
+    inner nodes out; after construction no PDE coefficient is evaluated
+    again.  ``solve_directional(i, w, g)`` returns K with
+    (I - w*A_i) K = g, A_i the direction-i second differences, by
+    eliminating the tridiagonal lines of direction i, built from the same
+    diffusion coefficients; it requires the frozen rows of g to vanish,
+    which holds for every stage right-hand side and is asserted when
+    ``check_rhs`` is set.  Both return a new array; an instance must not
+    serve concurrent calls, because every call works in arrays the
+    instance owns.
     """
 
     def __init__(
@@ -94,77 +98,67 @@ class GridOperator:
         self._rev = rev = shape.reversed_points
         # solve plan per validated (i, w), see solve_directional
         self._factors: dict[tuple[int, float], tuple] = {}
-        # Shifts along the inner axes reach at most ``pad`` nodes past
-        # either end of the padded copy of y; direction r, view axis n - r,
-        # has flat stride offsets[r - 1].
-        offsets = shape.offsets
-        pad = sum(offsets[:-1])
-        self._padded = np.zeros(shape.total_points + 2 * pad)
-        self._flat = self._padded[pad : pad + shape.total_points]
-        # term sums of apply, and the right-hand sides of every solve
-        self._scratch = scratch = np.empty(shape.total_points)
-
-        counts = shape.interior_counts
         h = shape.spacings
-        coords = [shape.axis_coordinates(r) for r in range(1, n + 1)]
 
-        def box(rows: dict[int, slice]) -> tuple[slice, ...]:
-            """Active-node box in view axis order (direction r on axis n - r)."""
-            return tuple(rows.get(r, slice(1, counts[r - 1] + 1)) for r in range(n, 0, -1))
+        # The extended grid adds a ghost hyperplane past every upper face;
+        # view axis a (direction n - a) has flat stride step[a].  Shifts
+        # along the inner axes reach at most ``pad`` nodes past either end
+        # of the padded copy of it.
+        ext = tuple(m + 1 for m in rev)
+        step = [math.prod(ext[a + 1 :]) for a in range(n)]
+        pad = sum(step[1:])
+        padded = np.zeros(math.prod(ext) + 2 * pad)
+        grid = padded[pad : pad + math.prod(ext)].reshape(ext)
+        self._nodes = grid[tuple(slice(m) for m in rev)]
+        # ghost M_a + 1 mirrors M_a - 1, corners included, axis after axis
+        self._ghosts = [
+            (grid[(slice(None),) * a + (m,)], grid[(slice(None),) * a + (m - 2,)])
+            for a, m in enumerate(rev)
+        ]
+        # the slab: the extended grid's rows 1..M_N of view axis 0
+        slab = (rev[0] - 1,) + ext[1:]
+        lo, size = pad + step[0], math.prod(slab)
+        # the accumulator and term buffer of apply, and the right-hand
+        # sides of every solve
+        scratch = np.empty(2 * size)
+        acc, buf = scratch[:size].reshape(slab), scratch[size:].reshape(slab)
 
-        def x(r: int, out: tuple[slice, ...]) -> np.ndarray:
-            """Direction-r coordinates over a box, broadcasting along their own axis."""
-            vals = coords[r - 1][out[n - r]]
+        def x(r: int) -> np.ndarray:
+            """Direction-r coordinates over the slab, ghost included, along view axis n - r."""
+            vals = np.append(shape.axis_coordinates(r), shape.bounds[r - 1] + h[r - 1])
+            vals = vals[1:-1] if r == n else vals
             return vals.reshape([vals.size if a == n - r else 1 for a in range(n)])
 
-        # the program: output boxes, and flat (ufunc, in1, in2, out) steps
-        # that leave each term's coef * (in_1 +- in_2 +- ...) in its buffer
-        # (the coefficient carries the 1/h^2, 1/(2h) or 1/(4 h_i h_k) scale),
-        # then add it into the output view of box k, which each call makes
-        self._boxes, self._steps = boxes, steps = [], []
+        xs = {r: x(r) for r in range(1, n + 1)}
+        # True where 0 < j_r < M_r: cross and drift terms skip the upper
+        # faces; index 0 and the ghost are never copied out, so zero there
+        # lets a one-interval direction drop its terms
+        below = {r: (0.0 < v) & (v < shape.bounds[r - 1]) for r, v in xs.items()}
 
-        def add(out, coef, *inputs) -> None:
-            # inputs are (sign, {direction: row shift}) relative to the output box
+        # the program: flat (ufunc, in1, in2, out) steps that leave each
+        # term's coef * (in_1 +- in_2 +- ...) in the accumulator (the
+        # coefficient carries the 1/h^2, 1/(2h) or 1/(4 h_i h_k) scale)
+        self._steps = steps = []
+
+        def add(coef, *inputs) -> None:
+            # inputs are (sign, {direction: row shift}) relative to the slab
             if not np.any(coef):  # a vanishing coefficient contributes nothing
                 return
-            constant = coef.min() == coef.max()
-            if all(sl.start == 1 for sl in out[1:]):
-                # a slab: the box's outer-axis rows times every inner node;
-                # the coefficient is zero outside the box on the inner axes,
-                # except where it is constant and the box reaches the top face
-                # (the index-0 faces are zeroed once every term has run)
-                constant = constant and all(sl.stop == m for sl, m in zip(out[1:], rev[1:]))
-                if not constant:
-                    keep = [a == 0 or (coef.shape[a] == 1 and out[a].stop == rev[a]) for a in range(n)]
-                    padded = np.zeros([coef.shape[a] if k else rev[a] for a, k in enumerate(keep)])
-                    padded[tuple(slice(None) if k else sl for sl, k in zip(out, keep))] = coef
-                    coef = padded
-                out = out[:1]
-            # each input: the box's outer-axis rows of the padded copy, shifted
-            # by its moves' flat offset and cut to out's inner axes (a slab's
-            # cut is empty, a Neumann face of an inner axis keeps its box)
-            lo, hi = out[0].start * offsets[-1], out[0].stop * offsets[-1]
-            rows, cut = (out[0].stop - out[0].start,) + rev[1:], (slice(None),) + out[1:]
+            work = buf if steps else acc  # the first term sums in the accumulator
             views = []
             for sign, moves in inputs:
-                at = pad + sum(s * offsets[r - 1] for r, s in moves.items())
-                views.append((sign, self._padded[lo + at : hi + at].reshape(rows)[cut]))
-            shp = views[0][1].shape
-            if constant:  # numpy multiplies by a 0-d array faster than by a float
-                coef = np.array(coef.flat[0])
-            buf = scratch[: math.prod(shp)].reshape(shp)
+                at = lo + sum(s * step[n - r] for r, s in moves.items())
+                views.append((sign, padded[at : at + size].reshape(slab)))
             (_, first), *rest = views
             steps.extend(
-                (np.add if sign > 0 else np.subtract, buf if j else first, view, buf)
+                (np.add if sign > 0 else np.subtract, work if j else first, view, work)
                 for j, (sign, view) in enumerate(rest)
             )
-            steps.append((np.multiply, buf, coef, buf))
-            if out not in boxes:
-                boxes.append(out)
-            k = boxes.index(out)
-            steps.append((np.add, k, buf, k))
+            steps.append((np.multiply, work, coef, work))
+            if work is buf:
+                steps.append((np.add, acc, buf, acc))
 
-        self._interior = box({})
+        self._interior = (slice(1, None),) * n
         # per diffusive direction i, the layout of its chained lines: the
         # interior view's axis order that chains them (the axes that repeat
         # the line, then the V row for i < N, then the line), the row scales
@@ -172,65 +166,47 @@ class GridOperator:
         # sides in the work array, in chain order and Fortran-ordered
         self._lines: dict[int, tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]] = {}
         for i in range(1, n + 1):
-            m = counts[i - 1]
-            # d_i/h_i^2 over rows 1..M_i
-            d = model.diffusion(i, x(i, self._interior), x(n, self._interior)) / h[i - 1] ** 2
-            if not np.any(d):
+            # d_i/h_i^2 over the slab, and over its inner rows 1..M_i
+            d = model.diffusion(i, xs[i], xs[n]) / h[i - 1] ** 2
+            inner = d[(slice(None),) * (n - i) + (slice(1, -1),)] if i < n else d
+            if not np.any(inner):
                 continue
-            if d.min() < np.finfo(float).tiny:  # the solve divides each row by it
+            if inner.min() < np.finfo(float).tiny:  # the solve divides each row by it
                 raise ValueError(f"diffusion coefficient of direction {i} underflows on some rows")
             chain = (0,) if i == n else (0, n - i)
             order = tuple(a for a in range(n) if a not in chain) + chain
-            r = 1.0 / d.transpose(order)[(0,) * (n - len(chain))]
+            r = 1.0 / inner.transpose(order)[(0,) * (n - len(chain))]
             r[..., -1] *= 0.5
             b = scratch[: shape.interior_points].reshape([rev[a] - 1 for a in order])
             self._lines[i] = (order, r, b, b.reshape(-1, r.size).T)
-            rows = (slice(None),) * (n - i)
-            if m >= 2:
-                c = box({i: slice(1, m)})
-                add(c, d[rows + (slice(0, m - 1),)], (1, {i: 1}), (1, {i: -1}), (-1, {}), (-1, {}))
-            # Neumann face: the second difference mirrors the lower neighbour
-            top = box({i: slice(m, m + 1)})
-            add(top, 2.0 * d[rows + (slice(m - 1, m),)], (1, {i: -1}), (-1, {}))
+            # on the Neumann face the ghost doubles the lower neighbour
+            add(d, (1, {i: 1}), (1, {i: -1}), (-1, {}), (-1, {}))
         for i in range(1, n):
             for k in range(i + 1, n + 1):
-                mi, mk = counts[i - 1], counts[k - 1]
-                if mi < 2 or mk < 2:
-                    continue
-                c = box({i: slice(1, mi), k: slice(1, mk)})
-                coef = model.mixed(i, k, x(i, c), x(k, c), x(n, c)) / (4.0 * h[i - 1] * h[k - 1])
-                add(c, coef, (1, {i: 1, k: 1}), (1, {i: -1, k: -1}),
+                coef = model.mixed(i, k, xs[i], xs[k], xs[n]) / (4.0 * h[i - 1] * h[k - 1])
+                add(coef * (below[i] & below[k]), (1, {i: 1, k: 1}), (1, {i: -1, k: -1}),
                     (-1, {i: 1, k: -1}), (-1, {i: -1, k: 1}))
         for i in range(2, n):
-            mi = counts[i - 1]
-            if mi < 2:
-                continue
-            c = box({i: slice(1, mi)})
-            coef = model.advection(i, [x(j, c) for j in range(2, i + 1)], x(n, c))
-            coef = coef / (2.0 * h[i - 1])
-            add(c, coef, (1, {i: 1}), (-1, {i: -1}))
-
-        # slabs also write the frozen lower faces of the inner axes
-        self._faces = [(slice(None),) * a + (0,) for a in range(1, n)]
+            coef = model.advection(i, [xs[j] for j in range(2, i + 1)], xs[n])
+            add(coef / (2.0 * h[i - 1]) * below[i], (1, {i: 1}), (-1, {i: -1}))
+        # the slab's inner nodes, or nothing when every term vanishes
+        self._result = acc[(slice(None),) + (slice(1, -1),) * (n - 1)] if steps else 0.0
 
     # -- operator application --------------------------------------------
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        if y.shape != self._flat.shape:
+        if y.shape != (self.shape.total_points,):
             raise ValueError(
                 f"vector length {y.size} does not match grid ({self.shape.total_points} nodes)"
             )
-        self._flat[...] = y
-        out = np.zeros(y.size)
-        ov = out.reshape(self._rev)
-        views = [ov[box] for box in self._boxes]
+        self._nodes[...] = y.reshape(self._rev)
+        for ghost, mirror in self._ghosts:
+            ghost[...] = mirror
         for ufunc, a, b, o in self._steps:
-            if o.__class__ is int:
-                a = o = views[o]
             ufunc(a, b, o)
-        for face in self._faces:
-            ov[face] = 0.0
+        out = np.zeros(y.size)
+        out.reshape(self._rev)[self._interior] = self._result
         return out
 
     # -- directional resolvent -----------------------------------------

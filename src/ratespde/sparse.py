@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import multiprocessing
+import operator
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -67,8 +68,16 @@ def _level_vectors(total: int, dims: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + tail
 
 
+def _integer(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def full_plan(level: int, dims: int) -> CombinationPlan:
     """The isotropic full grid as the degenerate plan: one term of weight 1."""
+    level, dims = _integer("level", level), _integer("dims", dims)
     if dims < 1:
         raise ValueError("need at least one dimension")
     if level < 0:
@@ -78,6 +87,7 @@ def full_plan(level: int, dims: int) -> CombinationPlan:
 
 def standard_plan(level: int, dims: int) -> CombinationPlan:
     """Level vectors and signed binomial weights of the plain combination."""
+    level, dims = _integer("level", level), _integer("dims", dims)
     if dims < 1:
         raise ValueError("need at least one dimension")
     if level < dims - 1:
@@ -94,6 +104,7 @@ def modified_plan(
     level: int, dims: int, psi: int, *, allow_large_psi: bool = False
 ) -> CombinationPlan:
     """Same index set as the standard plan with every level shifted by psi."""
+    psi = _integer("psi", psi)
     if psi < 0:
         raise ValueError("psi must be nonnegative")
     if psi > 2 and not allow_large_psi:
@@ -102,7 +113,7 @@ def modified_plan(
     terms = tuple(
         CombinationTerm(tuple(l + psi for l in t.levels), t.weight) for t in base.terms
     )
-    return CombinationPlan(MODIFIED if psi else STANDARD, level, dims, psi, terms)
+    return CombinationPlan(MODIFIED if psi else STANDARD, base.level, base.dims, psi, terms)
 
 
 def count_points(plan: CombinationPlan) -> int:
@@ -178,6 +189,7 @@ class SparseResult:
 
 def _solve_term(
     term: CombinationTerm,
+    points: int,
     market: MarketData,
     product: ProductSpec,
     domain: DomainSpec,
@@ -186,10 +198,7 @@ def _solve_term(
     """One component solve; module-level so a worker process can run it."""
     started = time.perf_counter()
     value = solve_component_grid(term.levels, market, product, domain, config)
-    shape = shape_for_levels(term.levels, product, domain)
-    return ComponentResult(
-        term.levels, term.weight, value, time.perf_counter() - started, shape.total_points
-    )
+    return ComponentResult(term.levels, term.weight, value, time.perf_counter() - started, points)
 
 
 def combine(
@@ -216,25 +225,25 @@ def combine(
     """
     if plan.dims != product.dimension:
         raise ValueError(f"plan is {plan.dims}-dimensional, product needs {product.dimension}")
-    if threads is not None and threads < 1:
+    if threads is not None and _integer("threads", threads) < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
+    points = [shape_for_levels(t.levels, product, domain).total_points for t in plan.terms]
     if max_nodes is not None:
-        for term in plan.terms:
-            points = shape_for_levels(term.levels, product, domain).total_points
-            if points > max_nodes:
-                raise ComponentSolveError(term.levels) from GridTooLargeError(points, max_nodes)
+        for term, count in zip(plan.terms, points):
+            if count > max_nodes:
+                raise ComponentSolveError(term.levels) from GridTooLargeError(count, max_nodes)
 
     started = time.perf_counter()
     cpus = os.cpu_count() or 1
     workers = min(threads or cpus, cpus, len(plan))
-    args = (market, product, domain, config)
+    jobs = [(t, count, market, product, domain, config) for t, count in zip(plan.terms, points)]
     pool = None
     try:
         if workers > 1:
             pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-            pending = [pool.submit(_solve_term, term, *args).result for term in plan.terms]
+            pending = [pool.submit(_solve_term, *job).result for job in jobs]
         else:
-            pending = [functools.partial(_solve_term, term, *args) for term in plan.terms]
+            pending = [functools.partial(_solve_term, *job) for job in jobs]
         components = []
         for term, result in zip(plan.terms, pending):
             try:

@@ -192,8 +192,8 @@ def integrate(
     counters: StepCounters | None = None,
 ) -> np.ndarray:
     """Advance y0 over [0, horizon] with uniform steps; returns the final state."""
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     dt = horizon / config.num_steps
     y = np.asarray(y0, dtype=float)
     for _ in range(config.num_steps):

@@ -83,6 +83,22 @@ class TestPlans:
             modified_plan(8, 2, 3)
         assert modified_plan(8, 2, 3, allow_large_psi=True).psi == 3
 
+    @pytest.mark.parametrize(
+        "build,name",
+        [
+            (lambda: full_plan(2.5, 2), "level"),
+            (lambda: full_plan(3, 2.0), "dims"),
+            (lambda: standard_plan(2.5, 2), "level"),
+            (lambda: standard_plan(3, 1.5), "dims"),
+            (lambda: modified_plan(3, 2, 1.5), "psi"),
+            (lambda: modified_plan(3.0, 2, 1), "level"),
+            (lambda: modified_plan(8, 2, 3.0, allow_large_psi=True), "psi"),
+        ],
+    )
+    def test_fractional_sizes_rejected(self, build, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            build()
+
     @pytest.mark.parametrize("dims", range(1, 7))
     def test_weights_sum_to_one_and_counts_match(self, dims):
         for level in range(dims - 1, 13):
@@ -322,6 +338,15 @@ class TestCombine:
     def test_nonpositive_threads_rejected(self, market_flat, caplet, caplet_domain):
         for threads in (0, -3):
             with pytest.raises(ValueError, match="threads"):
+                combine(
+                    standard_plan(4, 2), market_flat, caplet, caplet_domain,
+                    AmfrW2Config(num_steps=1), threads=threads,
+                )
+
+    def test_noninteger_threads_rejected(self, market_flat, caplet, caplet_domain, monkeypatch):
+        monkeypatch.setattr(sparse_mod, "solve_component_grid", lambda *a, **k: 1.0)
+        for threads in (1.5, 2.5, "2"):
+            with pytest.raises(ValueError, match="threads must be an integer"):
                 combine(
                     standard_plan(4, 2), market_flat, caplet, caplet_domain,
                     AmfrW2Config(num_steps=1), threads=threads,

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -205,6 +206,16 @@ class TestGridStage:
         yT = integrate(op, y0, 0.5, AmfrW2Config(num_steps=4))
         outer = ~shape.inner_mask()
         assert np.abs(yT[outer] - y0[outer]).max() == 0.0
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0, -0.5])
+    def test_bad_horizon_rejected_before_any_step(self, market_sv, caplet, horizon):
+        shape = GridShape((4, 4), (0.04, 3.5))
+        op = GridOperator(market_sv, caplet, shape)
+        y0 = initial_state(market_sv, caplet, shape).values
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"horizon must be positive and finite, got {horizon}"):
+                integrate(op, y0, horizon, AmfrW2Config(num_steps=2))
 
     def test_too_many_stages_rejected(self):
         op = ScalarOp(-1.0)
