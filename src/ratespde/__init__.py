@@ -23,6 +23,7 @@ from .market import (
     validate_domain,
 )
 from .operator import (
+    BlockOperator,
     GridOperator,
     StateVector,
     initial_state,
@@ -39,6 +40,7 @@ from .sparse import (
     modified_plan,
     shape_for_levels,
     solve_component_grid,
+    solve_component_grids,
     standard_plan,
 )
 from .stepper import (

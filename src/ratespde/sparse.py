@@ -24,17 +24,31 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import ComponentSolveError, GridTooLargeError
 from .indexing import GridShape
 from .market import DomainSpec, MarketData, ProductSpec, product_discount
-from .operator import GridOperator, StateVector, initial_state, interpolate
+from .operator import (
+    CSR_MAX_NODES,
+    BlockOperator,
+    GridOperator,
+    StateVector,
+    _sparse,
+    initial_state,
+    interpolate,
+)
 from .stepper import AmfrW2Config, integrate
 
 FULL = "full"
 STANDARD = "standard"
 MODIFIED = "modified"
+
+# A batch is cut before its CSR matrix could hold more nonzeros than this
+# (12 bytes each), which bounds the memory of one batch solve
+MAX_BATCH_NONZEROS = 2**17
 
 
 @dataclass(frozen=True)
@@ -149,6 +163,40 @@ def shape_for_levels(
     return GridShape(counts, domain.grid_bounds(product.dimension))
 
 
+def solve_component_grids(
+    levels: Sequence[tuple[int, ...]],
+    market: MarketData,
+    product: ProductSpec,
+    domain: DomainSpec,
+    config: AmfrW2Config,
+) -> list[float]:
+    """Prices from a batch of full anisotropic grids, in basis points, in order.
+
+    Pipeline: payoff initial states, time integration over the horizon,
+    multilinear evaluation of each grid at the domain's evaluation point,
+    then the product's discount factor and the basis-point scale.  One
+    grid is integrated through its own ``GridOperator``; several, each
+    of at most ``CSR_MAX_NODES`` nodes, through one ``BlockOperator``
+    over their concatenated states.  A grid's price is bitwise the same
+    either way.
+    """
+    shapes = [shape_for_levels(l, product, domain) for l in levels]
+    states = [initial_state(market, product, s).values for s in shapes]
+    if len(shapes) == 1:
+        y0, op = states[0], GridOperator(market, product, shapes[0])
+    else:
+        y0 = np.concatenate(states)
+        op = BlockOperator(GridOperator(market, product, s) for s in shapes)
+    final = integrate(op, y0, domain.horizon, config)
+    scale = 1.0e4 * product_discount(market, product)
+    values, start = [], 0
+    for shape in shapes:
+        stop = start + shape.total_points
+        values.append(scale * interpolate(StateVector(shape, final[start:stop]), domain.eval_point))
+        start = stop
+    return values
+
+
 def solve_component_grid(
     levels: tuple[int, ...],
     market: MarketData,
@@ -156,22 +204,17 @@ def solve_component_grid(
     domain: DomainSpec,
     config: AmfrW2Config,
 ) -> float:
-    """Price from one full anisotropic grid, in basis points.
-
-    Pipeline: payoff initial state, time integration over the horizon,
-    multilinear evaluation at the domain's evaluation point, then the
-    product's discount factor and the basis-point scale.
-    """
-    shape = shape_for_levels(levels, product, domain)
-    state = initial_state(market, product, shape)
-    op = GridOperator(market, product, shape)
-    final = integrate(op, state.values, domain.horizon, config)
-    value = interpolate(StateVector(shape, final), domain.eval_point)
-    return 1.0e4 * product_discount(market, product) * value
+    """Price from one full anisotropic grid, in basis points (see ``solve_component_grids``)."""
+    return solve_component_grids([levels], market, product, domain, config)[0]
 
 
 @dataclass(frozen=True)
 class ComponentResult:
+    """One component's price.  ``seconds`` is its node share of the wall
+    time of the batch it was solved in: the batch's seconds times its
+    points over the batch's points (every grid of a batch takes the same
+    steps); a component solved alone gets the whole wall time."""
+
     levels: tuple[int, ...]
     weight: int
     value_bps: float
@@ -187,18 +230,54 @@ class SparseResult:
     seconds: float
 
 
-def _solve_term(
-    term: CombinationTerm,
-    points: int,
+def _solve_batch(
+    terms: Sequence[CombinationTerm],
+    points: Sequence[int],
     market: MarketData,
     product: ProductSpec,
     domain: DomainSpec,
     config: AmfrW2Config,
-) -> ComponentResult:
-    """One component solve; module-level so a worker process can run it."""
+) -> list[ComponentResult]:
+    """One batch of component solves; module-level so a worker process can run it."""
     started = time.perf_counter()
-    value = solve_component_grid(term.levels, market, product, domain, config)
-    return ComponentResult(term.levels, term.weight, value, time.perf_counter() - started, points)
+    values = solve_component_grids([t.levels for t in terms], market, product, domain, config)
+    share = (time.perf_counter() - started) / sum(points)
+    return [
+        ComponentResult(t.levels, t.weight, v, share * count, count)
+        for t, v, count in zip(terms, values, points)
+    ]
+
+
+def _batches(points: Sequence[int], dims: int, workers: int) -> list[range]:
+    """Split plan indices, in plan order, into runs solved as one batch.
+
+    A grid over ``CSR_MAX_NODES`` nodes is a batch of its own.  The small
+    grids are dealt to ``workers`` runs of about equal node count, hence
+    equal node-steps: a grid joins the run its middle node falls in.  A
+    run is also cut before its CSR matrix could pass
+    ``MAX_BATCH_NONZEROS``, counting 2*dims**2 + 3*dims entries per node:
+    a row holds at most 3 per diffusion, 4 per cross and 2 per drift term.
+    """
+    small = sum(p for p in points if p <= CSR_MAX_NODES)
+    per_node = 2 * dims * dims + 3 * dims
+    batches: list[range] = []
+    start, nodes, done, slot = 0, 0, 0, 0
+    for k, count in enumerate(points):
+        if count > CSR_MAX_NODES:
+            if k > start:
+                batches.append(range(start, k))
+            batches.append(range(k, k + 1))
+            start, nodes = k + 1, 0
+            continue
+        here = min(int((done + count / 2) * workers / small), workers - 1)
+        done += count
+        if k > start and (here != slot or (nodes + count) * per_node > MAX_BATCH_NONZEROS):
+            batches.append(range(start, k))
+            start, nodes = k, 0
+        slot, nodes = here, nodes + count
+    if start < len(points):
+        batches.append(range(start, len(points)))
+    return batches
 
 
 def combine(
@@ -217,11 +296,17 @@ def combine(
     count), capped at the cpu count and the number of components, since
     the pool starts every worker at once; with one worker the
     components are solved in this process.  Every component is checked
-    against ``max_nodes`` before any solve starts.  Workers are forked,
-    so they see the engine exactly as this process does.  The first
-    component to fail in plan order raises ``ComponentSolveError`` and
-    cancels the solves not yet started.  The reduction happens in plan
-    order, so the combined value does not depend on the worker count.
+    against ``max_nodes`` before any solve starts.  The plan is split, in
+    plan order, into batches (see ``_batches``): the grids of at most
+    ``CSR_MAX_NODES`` nodes are solved together through one
+    ``BlockOperator`` per batch, every larger grid alone, and each
+    component's price is bitwise what it is alone.  Workers are forked,
+    so they see the engine exactly as this process does, ``scipy.sparse``
+    included, which is loaded before the fork.  A batch that fails is
+    solved again one component at a time, so the first component to fail
+    in plan order raises ``ComponentSolveError``; that cancels the
+    batches not yet started.  The reduction happens in plan order, so the
+    combined value does not depend on the worker count.
     """
     if plan.dims != product.dimension:
         raise ValueError(f"plan is {plan.dims}-dimensional, product needs {product.dimension}")
@@ -236,20 +321,34 @@ def combine(
     started = time.perf_counter()
     cpus = os.cpu_count() or 1
     workers = min(threads or cpus, cpus, len(plan))
-    jobs = [(t, count, market, product, domain, config) for t, count in zip(plan.terms, points)]
+    if min(points) <= CSR_MAX_NODES:
+        _sparse()  # once, here, so that forked workers do not each import it
+    batches = _batches(points, plan.dims, workers)
+    jobs = [
+        ([plan.terms[k] for k in batch], [points[k] for k in batch], market, product, domain, config)
+        for batch in batches
+    ]
     pool = None
     try:
-        if workers > 1:
-            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-            pending = [pool.submit(_solve_term, *job).result for job in jobs]
+        if workers > 1 and len(jobs) > 1:
+            pool = ProcessPoolExecutor(
+                min(workers, len(jobs)), mp_context=multiprocessing.get_context("fork")
+            )
+            pending = [pool.submit(_solve_batch, *job).result for job in jobs]
         else:
-            pending = [functools.partial(_solve_term, *job) for job in jobs]
+            pending = [functools.partial(_solve_batch, *job) for job in jobs]
         components = []
-        for term, result in zip(plan.terms, pending):
+        for (terms, counts, *rest), result in zip(jobs, pending):
             try:
-                components.append(result())
+                components += result()
             except Exception as err:
-                raise ComponentSolveError(term.levels) from err
+                if len(terms) == 1:
+                    raise ComponentSolveError(terms[0].levels) from err
+                for term, count in zip(terms, counts):  # find the first failing component
+                    try:
+                        components += _solve_batch([term], [count], *rest)
+                    except Exception as cause:
+                        raise ComponentSolveError(term.levels) from cause
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

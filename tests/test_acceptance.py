@@ -395,7 +395,9 @@ def test_criterion_8d_weight_normalisation():
 def test_criterion_8e_constant_stub_exact(flat_market, monkeypatch):
     domain = caplet_domain(flat_market)
     constant = 123.4375  # dyadic so weighted sums are exact in binary
-    monkeypatch.setattr(sparse_mod, "solve_component_grid", lambda *a, **k: constant)
+    monkeypatch.setattr(
+        sparse_mod, "solve_component_grids", lambda levels, *a, **k: [constant] * len(levels)
+    )
     result = combine(standard_plan(9, 2), flat_market, CAPLET, domain, AmfrW2Config(num_steps=1))
     check(
         "criterion 8e (constant-solution stub combines exactly)",

@@ -8,6 +8,7 @@ import pytest
 from ratespde import (
     CAPLET,
     SWAPTION,
+    BlockOperator,
     GridOperator,
     GridShape,
     PdeModel,
@@ -175,18 +176,20 @@ class TestApply:
         op = GridOperator(dead, ProductSpec(CAPLET, 1, 2), shape)
         assert_only_diffusion_block(op, 2)
 
-    # sha256 prefixes of apply(y), recorded once the Neumann faces read a
-    # mirrored ghost node (the face nodes moved by rounding, at most
-    # 8e-16 of max|F(y)|); beta = 1 keeps every coefficient to exactly
-    # rounded arithmetic, so the bytes are portable
+    # sha256 prefixes of apply(y); beta = 1 keeps every coefficient to
+    # exactly rounded arithmetic, so the bytes are portable.  Grids of at
+    # most CSR_MAX_NODES nodes apply a CSR matrix, whose row sums round
+    # differently from the program's term sums; (128, 128) is over the
+    # budget and keeps the program's bytes
     FROZEN_DIGESTS = {
-        (4, 256): "30c7f86d595742eb",
-        (256, 4): "58d9adf3d69460ae",
-        (1, 1024): "11d09293e25e6e30",
-        (2, 2, 64): "814d1a99bc56675c",
-        (8, 4, 2): "643f9578f3ab1db2",
-        (1, 1, 1): "403d175a06a53ec2",
-        (2, 3, 2, 3): "c3c2875688ec4b66",
+        (4, 256): "5898f2ae3d326c84",
+        (256, 4): "0e075736c39a592c",
+        (1, 1024): "e2a4596f3b3dbe80",
+        (2, 2, 64): "7b9079c38a6c5f61",
+        (8, 4, 2): "81d22986d9d69f50",
+        (1, 1, 1): "55f32a409fe6d66d",
+        (2, 3, 2, 3): "40c7097268f7e48c",
+        (128, 128): "fb0e6f1887c39c87",
     }
 
     @pytest.mark.parametrize("counts", list(FROZEN_DIGESTS))
@@ -195,17 +198,17 @@ class TestApply:
         y = np.random.default_rng(7).normal(size=op.shape.total_points)
         assert hashlib.sha256(op.apply(y).tobytes()).hexdigest()[:16] == self.FROZEN_DIGESTS[counts]
 
-    # the same outputs with every upper-face node (some j_i = M_i) zeroed,
-    # recorded while the faces still ran as separate terms: away from the
-    # faces the terms' arithmetic and order are unchanged
+    # the same outputs with every upper-face node (some j_i = M_i) zeroed;
+    # (1, 1024) and (1, 1, 1) have no interior node off the faces
     OFF_FACE_DIGESTS = {
-        (4, 256): "6b03c6e17a5b34dd",
-        (256, 4): "59673c08cdfb5aa2",
+        (4, 256): "525a4e8fcee85120",
+        (256, 4): "bf299e8b7f9d3aec",
         (1, 1024): "fe0a87de3d96b843",
-        (2, 2, 64): "360471da0f2f767f",
-        (8, 4, 2): "abd52148fc523119",
+        (2, 2, 64): "7bb9e43922d01806",
+        (8, 4, 2): "b10b5376edab2d6f",
         (1, 1, 1): "f5a5fd42d16a2030",
-        (2, 3, 2, 3): "7507cfa9450e795d",
+        (2, 3, 2, 3): "8174f8d92b82d89e",
+        (128, 128): "9bda4b0aaf8c8ed6",
     }
 
     @pytest.mark.parametrize("counts", list(OFF_FACE_DIGESTS))
@@ -359,6 +362,66 @@ class TestDirectionalSolve:
         assert (1, 0.2) in op._factors
         second = op.solve_directional(1, 0.2, g)
         assert np.array_equal(first, second)
+
+
+class TestBlockOperator:
+    # one-interval directions give lines of one row, and chains of one row
+    # when the volatility direction has one interval too
+    SHAPES = {
+        2: [(4, 1), (1, 4), (1, 1), (3, 5), (2, 2), (6, 3), (16, 1)],
+        3: [(1, 1, 1), (2, 1, 3), (1, 2, 1), (3, 2, 2), (4, 4, 1)],
+    }
+
+    @staticmethod
+    def parts(dims):
+        ops = [make_operator(counts)[0] for counts in TestBlockOperator.SHAPES[dims]]
+        return ops, BlockOperator(iter(ops))
+
+    @staticmethod
+    def split(ops, x):
+        cuts = np.cumsum([op.shape.total_points for op in ops])[:-1]
+        return np.split(x, cuts)
+
+    @pytest.mark.parametrize("dims", [2, 3])
+    def test_apply_bitwise_per_component(self, dims):
+        ops, block = self.parts(dims)
+        y = rng().normal(size=block.size)
+        expected = [op.apply(part) for op, part in zip(ops, self.split(ops, y))]
+        assert np.array_equal(block.apply(y), np.concatenate(expected))
+
+    @pytest.mark.parametrize("dims", [2, 3])
+    def test_solves_bitwise_per_component(self, dims):
+        ops, block = self.parts(dims)
+        masks = np.concatenate([op.shape.inner_mask() for op in ops])
+        g = rng().normal(size=block.size) * masks
+        for _ in range(2):  # the second round runs from the cached plans
+            for i in range(1, dims + 1):
+                for w in (0.0, 0.07, 1.3):
+                    parts = zip(ops, self.split(ops, g))
+                    expected = np.concatenate([op.solve_directional(i, w, part) for op, part in parts])
+                    assert np.array_equal(block.solve_directional(i, w, g), expected)
+
+    def test_line_counts_add_up(self):
+        ops, block = self.parts(3)
+        for i in (1, 2, 3):
+            assert block.lines_in_direction(i) == sum(op.lines_in_direction(i) for op in ops)
+
+    def test_bad_blocks_and_inputs_rejected(self):
+        small, *_ = make_operator((4, 4))
+        large, *_ = make_operator((128, 128))
+        solid, *_ = make_operator((2, 2, 2))
+        for ops in ([], [small, large], [small, solid]):
+            with pytest.raises(ValueError):
+                BlockOperator(ops)
+        block = BlockOperator([small, small])
+        with pytest.raises(ValueError):
+            block.apply(np.zeros(small.shape.total_points))
+        g = np.zeros(block.size)
+        with pytest.raises(ValueError, match="direction"):
+            block.solve_directional(3, 0.1, g)
+        for w in (math.nan, -0.1, math.inf):
+            with pytest.raises(ValueError, match="shift"):
+                block.solve_directional(1, w, g)
 
 
 class TestCoefficientGuard:

@@ -214,7 +214,9 @@ class TestComponentSolve:
 class TestCombine:
     def test_constant_solution_stub_reduces_exactly(self, market_flat, caplet, caplet_domain, monkeypatch):
         constant = 41.25
-        monkeypatch.setattr(sparse_mod, "solve_component_grid", lambda *a, **k: constant)
+        monkeypatch.setattr(
+            sparse_mod, "solve_component_grids", lambda levels, *a, **k: [constant] * len(levels)
+        )
         for dims, level in [(2, 6), (3, 7)]:
             plan = standard_plan(level, dims)
             # product dimension must match the plan; reuse the caplet for d=2 only
@@ -265,7 +267,9 @@ class TestCombine:
     ):
         calls = []
         monkeypatch.setattr(
-            sparse_mod, "solve_component_grid", lambda levels, *a, **k: calls.append(levels) or 1.0
+            sparse_mod,
+            "solve_component_grids",
+            lambda levels, *a, **k: calls.append(levels) or [1.0] * len(levels),
         )
         plan = standard_plan(8, 2)
         cap = 200
@@ -288,21 +292,24 @@ class TestCombine:
     def test_first_failure_cancels_pending_solves(
         self, market_flat, caplet, caplet_domain, monkeypatch, tmp_path
     ):
-        # workers are forked, so they run this stub; each call leaves a line in a
-        # shared log because the workers' memory is not the test's
+        # workers are forked, so they run this stub; each component it is
+        # called with leaves a line in a shared log because the workers'
+        # memory is not the test's.  A nonzero cap of 1 makes every
+        # component a batch of its own, so there is pending work to cancel
         plan = standard_plan(8, 2)
         failing = plan.terms[0].levels
         log = tmp_path / "calls.log"
 
         def stub(levels, *args, **kwargs):
             with open(log, "a", encoding="utf-8") as fh:
-                fh.write(f"{levels}\n")
-            if levels == failing:
+                fh.writelines(f"{one}\n" for one in levels)
+            if failing in levels:
                 raise FloatingPointError("non-finite stage value")
             time.sleep(0.2)
-            return 1.0
+            return [1.0] * len(levels)
 
-        monkeypatch.setattr(sparse_mod, "solve_component_grid", stub)
+        monkeypatch.setattr(sparse_mod, "solve_component_grids", stub)
+        monkeypatch.setattr(sparse_mod, "MAX_BATCH_NONZEROS", 1)
         with pytest.raises(ComponentSolveError) as err:
             combine(plan, market_flat, caplet, caplet_domain, AmfrW2Config(num_steps=1), threads=2)
         assert err.value.levels == failing
@@ -327,7 +334,9 @@ class TestCombine:
                 pass
 
         monkeypatch.setattr(sparse_mod, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(sparse_mod, "solve_component_grid", lambda *a, **k: 1.0)
+        monkeypatch.setattr(
+            sparse_mod, "solve_component_grids", lambda levels, *a, **k: [1.0] * len(levels)
+        )
         monkeypatch.setattr(sparse_mod.os, "cpu_count", lambda: 2)
         plan = standard_plan(6, 2)
         assert len(plan) == 13
@@ -344,7 +353,9 @@ class TestCombine:
                 )
 
     def test_noninteger_threads_rejected(self, market_flat, caplet, caplet_domain, monkeypatch):
-        monkeypatch.setattr(sparse_mod, "solve_component_grid", lambda *a, **k: 1.0)
+        monkeypatch.setattr(
+            sparse_mod, "solve_component_grids", lambda levels, *a, **k: [1.0] * len(levels)
+        )
         for threads in (1.5, 2.5, "2"):
             with pytest.raises(ValueError, match="threads must be an integer"):
                 combine(
@@ -368,6 +379,66 @@ class TestCombine:
     def test_plan_dimension_checked(self, market_flat, caplet, caplet_domain):
         with pytest.raises(ValueError):
             combine(standard_plan(4, 3), market_flat, caplet, caplet_domain, AmfrW2Config(num_steps=1))
+
+
+class TestBatches:
+    def test_batch_layout_does_not_change_bits(self, market_sv, caplet):
+        # (l, 0) and (0, l) grids have directions whose distinct lines chain
+        # to a single row, which LAPACK solves by a reciprocal
+        domain = DomainSpec.for_product(market_sv, caplet, 0.04, 3.5)
+        cfg = AmfrW2Config(num_steps=3)
+        levels = [t.levels for t in standard_plan(5, 2).terms]
+        assert (5, 0) in levels and (0, 5) in levels
+        alone = [solve_component_grid(l, market_sv, caplet, domain, cfg) for l in levels]
+        for cuts in ([], [4], [3, 7]):
+            values = []
+            for lo, hi in zip([0] + cuts, cuts + [len(levels)]):
+                values += sparse_mod.solve_component_grids(levels[lo:hi], market_sv, caplet, domain, cfg)
+            assert values == alone
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_nonfinite_component_named_from_inside_a_batch(self, market_sv, caplet, monkeypatch, threads):
+        domain = DomainSpec.for_product(market_sv, caplet, 0.04, 3.5)
+        plan = standard_plan(5, 2)
+        failing = plan.terms[4]
+        real = sparse_mod.initial_state
+
+        def poisoned(market, product, shape):
+            state = real(market, product, shape)
+            if shape == shape_for_levels(failing.levels, product, domain):
+                state.values[-1] = math.inf
+            return state
+
+        monkeypatch.setattr(sparse_mod, "initial_state", poisoned)
+        # forked workers inherit the patch; the failing grid shares its batch
+        points = [shape_for_levels(t.levels, caplet, domain).total_points for t in plan.terms]
+        assert len(sparse_mod._batches(points, 2, threads)[0]) > 4
+        with pytest.raises(ComponentSolveError) as err:
+            combine(plan, market_sv, caplet, domain, AmfrW2Config(num_steps=2), threads=threads)
+        assert err.value.levels == failing.levels
+        assert isinstance(err.value.__cause__, FloatingPointError)
+
+    def test_batches_follow_plan_order_and_balance_nodes(self):
+        big = sparse_mod.CSR_MAX_NODES + 1
+        assert sparse_mod._batches([10, 20, 30, 40], 2, 1) == [range(0, 4)]
+        assert sparse_mod._batches([10, 20, 30, 40], 2, 2) == [range(0, 3), range(3, 4)]
+        assert sparse_mod._batches([5] * 9, 2, 3) == [range(0, 3), range(3, 6), range(6, 9)]
+        # a grid over the node budget is a batch of its own and cuts the run
+        assert sparse_mod._batches([10, big, 30, 40], 2, 1) == [range(0, 1), range(1, 2), range(2, 4)]
+        assert sparse_mod._batches([big], 2, 1) == [range(0, 1)]
+
+    def test_batches_respect_the_nonzero_cap(self, monkeypatch):
+        monkeypatch.setattr(sparse_mod, "MAX_BATCH_NONZEROS", 14 * 100)  # 100 nodes in 2D
+        batches = sparse_mod._batches([40] * 7, 2, 1)
+        assert batches == [range(0, 2), range(2, 4), range(4, 6), range(6, 7)]
+
+    def test_component_seconds_split_by_nodes(self, market_flat, caplet, caplet_domain):
+        result = combine(standard_plan(4, 2), market_flat, caplet, caplet_domain,
+                         AmfrW2Config(num_steps=2), threads=1)
+        seconds = [c.seconds for c in result.components]
+        assert all(s > 0.0 for s in seconds)
+        per_node = {c.seconds / c.points for c in result.components}
+        assert max(per_node) <= min(per_node) * (1 + 1e-12)
 
 
 def test_refinement_improves_caplet_accuracy(market_flat, caplet, caplet_domain):
