@@ -13,21 +13,17 @@ while first differences and cross differences are dropped there.
 
 Implementation notes: the flat vector of a shape reshapes (C order) to an
 ndarray whose *last* axis is direction 1, so all stencils are evaluated
-with numpy slice arithmetic.  The discretisation does not change in
-time, so each operator builds it once.  A grid of at most
-``CSR_MAX_NODES`` nodes becomes one CSR matrix (scipy.sparse, imported on
-first use); a larger grid becomes a flat program of ufunc calls on
-prebuilt views of one padded copy of the input, extended by the ghost
-layer, which a call runs without per-term decisions.  Every term runs on
-the same contiguous slab: the inner nodes' outer-axis rows, taken as
-whole rows of the extended grid.  Each directional solve chains the
-direction's distinct lines into one system, scales its rows by 1/d_j,
-fixed at construction, to a symmetric positive definite tridiagonal
-matrix and makes one LAPACK solve, from a plan cached per (direction,
-shift).  ``BlockOperator`` runs a batch of small grids as one system:
-one product with their block-diagonal CSR matrix and one LAPACK solve
-per direction over all their lines, each row computed as its own grid's
-operator computes it.
+with numpy slice arithmetic, each operator building the time-independent
+discretisation once.  Each directional solve scales the rows of its
+lines by 1/d_j to a symmetric positive definite tridiagonal system and
+makes one LAPACK solve over the lines chained, from a plan cached per
+(direction, shift).  The grid's size picks one of two paths.  A grid of
+at most ``CSR_MAX_NODES`` nodes is one CSR matrix (scipy.sparse,
+imported on first use) and one chain of all its lines, and runs as a
+``BlockOperator`` of one, the same system that solves a batch of small
+grids.  A larger grid is a flat program of ufunc calls on prebuilt views
+of one padded copy of the input, extended by the ghost layer, and one
+chain of its distinct lines whose repeats are the solve's columns.
 """
 
 from __future__ import annotations
@@ -73,23 +69,20 @@ class StateVector:
 class GridOperator:
     """Semi-discrete right-hand side F(Y) and its directional resolvents.
 
-    The discretisation is time independent, so the constructor lists its
-    stencil terms once, each a scaled coefficient over the same slab of
-    the ghost-extended grid and its signed inputs; a cross or drift
-    coefficient is zero on the upper faces of its directions.  A grid of
-    at most ``CSR_MAX_NODES`` nodes assembles them into one CSR matrix
-    (see ``_assemble``) and ``apply`` is one product with it.  A larger
-    grid compiles them into one flat program of ufunc calls on prebuilt
-    views (see ``_compile``); ``apply`` mirrors the ghosts, runs the
-    program and copies the slab's inner nodes out.  After construction
-    no PDE coefficient is evaluated again.  ``solve_directional(i, w, g)``
-    returns K with (I - w*A_i) K = g, A_i the direction-i second
-    differences, by eliminating the tridiagonal lines of direction i,
-    built from the same diffusion coefficients; it requires the frozen
-    rows of g to vanish, which holds for every stage right-hand side and
-    is asserted when ``check_rhs`` is set.  Both return a new array; an
-    instance must not serve concurrent calls, because every call works in
-    arrays the instance owns.
+    The constructor lists the stencil terms once, each a scaled
+    coefficient over one slab of the ghost-extended grid and its inputs,
+    each a sign and a flat offset in that grid; a cross or drift
+    coefficient is zero on the upper faces of its directions.
+    ``solve_directional(i, w, g)`` returns K with (I - w*A_i) K = g, A_i
+    the direction-i second differences; it requires the frozen rows of g
+    to vanish, which holds for every stage right-hand side and is
+    asserted when ``check_rhs`` is set.  A grid of at most
+    ``CSR_MAX_NODES`` nodes is a block of one: it builds its part of a
+    ``BlockOperator`` (see ``_assemble``) and both methods run through the
+    ``BlockOperator`` of that part alone, built on first use.  A larger
+    grid compiles the terms into one flat program (see ``_compile``).
+    Both return a new array; an instance must not serve concurrent calls,
+    because every call works in arrays the instance owns.
     """
 
     def __init__(
@@ -109,18 +102,14 @@ class GridOperator:
         self.n_directions = n = shape.ndim
         self.check_rhs = check_rhs
         self._rev = rev = shape.reversed_points
-        # solve plan per validated (i, w), see solve_directional
-        self._factors: dict[tuple[int, float], tuple] = {}
         h = shape.spacings
 
         # The extended grid adds a ghost hyperplane past every upper face;
-        # the slab is its rows 1..M_N of view axis 0
+        # the slab is its rows 1..M_N of view axis 0.  View axis a has flat
+        # stride step[a] in it
         ext = tuple(m + 1 for m in rev)
         slab = (rev[0] - 1,) + ext[1:]
-        small = shape.total_points <= CSR_MAX_NODES
-        # the right-hand sides of every solve; a large grid's program works
-        # in the same array, its accumulator first, then its term buffer
-        scratch = np.empty(shape.interior_points if small else 2 * math.prod(slab))
+        step = [math.prod(ext[a + 1 :]) for a in range(n)]
 
         def x(r: int) -> np.ndarray:
             """Direction-r coordinates over the slab, ghost included, along view axis n - r."""
@@ -136,20 +125,20 @@ class GridOperator:
 
         # the stencil terms, in order: coef * (in_1 +- in_2 +- ...) over the
         # slab (the coefficient carries the 1/h^2, 1/(2h) or 1/(4 h_i h_k)
-        # scale), inputs as (sign, {direction: row shift}) relative to it
+        # scale), inputs as (sign, flat offset in the extended grid)
         terms = []
 
         def add(coef, *inputs) -> None:
             if np.any(coef):  # a vanishing coefficient contributes nothing
-                terms.append((coef, inputs))
+                terms.append((coef, [(sign, sum(s * step[n - r] for r, s in moves.items()))
+                                     for sign, moves in inputs]))
 
         self._interior = (slice(1, None),) * n
-        # per diffusive direction i, the layout of its chained lines: the
-        # interior view's axis order that chains them (the axes that repeat
-        # the line, then the V row for i < N, then the line), the row scales
-        # r, 1/d_j and 1/(2 d_M) on the Neumann row, and the right-hand
-        # sides in the work array, in chain order and Fortran-ordered
-        self._lines: dict[int, tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]] = {}
+        # per diffusive direction i, its distinct lines: the interior view's
+        # axis order that chains them (the axes that repeat the line, then
+        # the V row for i < N, then the line) and their row scales r, 1/d_j
+        # and 1/(2 d_M) on the Neumann row
+        lines: dict[int, tuple[tuple[int, ...], np.ndarray]] = {}
         for i in range(1, n + 1):
             # d_i/h_i^2 over the slab, and over its inner rows 1..M_i
             d = model.diffusion(i, xs[i], xs[n]) / h[i - 1] ** 2
@@ -162,8 +151,7 @@ class GridOperator:
             order = tuple(a for a in range(n) if a not in chain) + chain
             r = 1.0 / inner.transpose(order)[(0,) * (n - len(chain))]
             r[..., -1] *= 0.5
-            b = scratch[: shape.interior_points].reshape([rev[a] - 1 for a in order])
-            self._lines[i] = (order, r, b, b.reshape(-1, r.size).T)
+            lines[i] = (order, r)
             # on the Neumann face the ghost doubles the lower neighbour
             add(d, (1, {i: 1}), (1, {i: -1}), (-1, {}), (-1, {}))
         for i in range(1, n):
@@ -174,64 +162,75 @@ class GridOperator:
         for i in range(2, n):
             coef = model.advection(i, [xs[j] for j in range(2, i + 1)], xs[n])
             add(coef / (2.0 * h[i - 1]) * below[i], (1, {i: 1}), (-1, {i: -1}))
-        if small:
-            self._matrix = self._assemble(slab, terms)
+        if shape.total_points <= CSR_MAX_NODES:
+            self._part = self._assemble(slab, terms, lines)
+            self._block = None  # the BlockOperator of the part, see _one
         else:
-            self._matrix = None
-            self._compile(ext, slab, terms, scratch)
+            self._part = None
+            self._compile(ext, slab, step, terms, lines)
 
-    def _assemble(self, slab: tuple[int, ...], terms: list):
-        """The terms as one CSR matrix over every node, frozen rows empty.
+    def _assemble(self, slab: tuple[int, ...], terms: list, lines: dict) -> tuple:
+        """This grid's part of a ``BlockOperator``: (CSR matrix, chains).
 
-        Row p holds, term after term, weight * coef at p at the node that
-        each distinct shift of the term's inputs reaches from p, a ghost
+        The matrix holds the terms over every node, frozen rows empty.  Row
+        p holds, term after term, weight * coef at p at the node that each
+        distinct offset of the term's inputs reaches from p, a ghost
         mirrored onto its node M_i - 1; the weight sums the signs of the
-        inputs with that shift (the centre's -2).  On a Neumann face the
+        inputs with that offset (the centre's -2).  On a Neumann face the
         +1 and -1 shifts reach one node as two entries.  Exact zeros are
         dropped.  A term's entries are +-coef and -2 coef summing to zero,
         so on a constant the row sum returns exactly to zero after every
         term and the product annihilates constants, as the program does.
+
+        Per diffusive direction i, the chain is (rows, scales, ends): the
+        interior rows of every direction-i line, line after line in the
+        axis order of ``lines``, each row's scale, and True on the last
+        row of each line.
         """
         n, rev, size = self.n_directions, self._rev, self.shape.total_points
-        if not terms:
-            return _sparse().csr_array((size, size))
         nodes = np.arange(size, dtype=np.int32).reshape(rev)
+        interior, chains = nodes[self._interior], {}
+        for i, (order, r) in lines.items():
+            rows = interior.transpose(order)
+            m = rows.shape[-1]
+            chains[i] = (rows.reshape(-1).astype(np.intp), np.broadcast_to(r, rows.shape).reshape(-1),
+                         np.arange(rows.size) % m == m - 1)
+        if not terms:
+            return _sparse().csr_array((size, size)), chains
         # node index over the ghost-extended grid, the ghost mirrored onto
         # M - 1, and the extended grid's flat index of each interior node
         ext = nodes[np.ix_(*[np.append(np.arange(m), m - 2) for m in rev])]
         at = np.ravel_multi_index(np.ix_(*[np.arange(1, m) for m in rev]), ext.shape)
-        shifts, of_term, weights = [], [], []
+        offsets, of_term, weights = [], [], []
         for t, (_, inputs) in enumerate(terms):
-            merged: dict[tuple[int, ...], int] = {}  # equal shifts merge: the centre's -2
-            for sign, moves in inputs:
-                shift = tuple(moves.get(n - a, 0) for a in range(n))
-                merged[shift] = merged.get(shift, 0) + sign
-            shifts += merged
+            merged: dict[int, int] = {}  # equal offsets merge: the centre's -2
+            for sign, offset in inputs:
+                merged[offset] = merged.get(offset, 0) + sign
+            offsets += merged
             of_term += [t] * len(merged)
             weights += merged.values()
-        steps = [math.prod(ext.shape[a + 1 :]) for a in range(n)]
-        cols = ext.reshape(-1)[at.reshape(-1, 1) + np.array(shifts) @ steps]
+        cols = ext.reshape(-1)[at.reshape(-1, 1) + np.array(offsets)]
         inner = (slice(None),) + (slice(1, -1),) * (n - 1)  # the slab's interior nodes
         coefs = np.stack([np.broadcast_to(coef, slab)[inner] for coef, _ in terms], -1)
         vals = coefs.reshape(-1, len(terms))[:, of_term] * weights
         keep = vals != 0.0
         indptr = np.zeros(size + 1, dtype=np.int32)
-        indptr[nodes[self._interior].reshape(-1) + 1] = keep.sum(1)
+        indptr[interior.reshape(-1) + 1] = keep.sum(1)
         indptr = np.cumsum(indptr, dtype=np.int32)
-        return _sparse().csr_array((vals[keep], cols[keep], indptr), shape=(size, size))
+        return _sparse().csr_array((vals[keep], cols[keep], indptr), shape=(size, size)), chains
 
-    def _compile(self, ext: tuple[int, ...], slab: tuple[int, ...], terms: list, scratch) -> None:
+    def _compile(self, ext: tuple, slab: tuple, step: list, terms: list, lines: dict) -> None:
         """The terms as one flat program of (ufunc, in1, in2, out) steps.
 
         Each term sums its inputs into a work buffer and multiplies by its
         coefficient; the first term works in the accumulator, every later
-        one adds its product to it.  An input is the slab shifted by a
-        fixed flat offset in one padded copy of the extended grid.
+        one adds its product to it.  An input is the slab shifted by its
+        flat offset in one padded copy of the extended grid.  The solves'
+        right-hand sides share the work array of the accumulator.
         """
         n, rev = self.n_directions, self._rev
-        # view axis a has flat stride step[a]; shifts along the inner axes
-        # reach at most ``pad`` nodes past either end of the padded copy
-        step = [math.prod(ext[a + 1 :]) for a in range(n)]
+        # shifts along the inner axes reach at most ``pad`` nodes past
+        # either end of the padded copy
         pad = sum(step[1:])
         padded = np.zeros(math.prod(ext) + 2 * pad)
         grid = padded[pad : pad + math.prod(ext)].reshape(ext)
@@ -242,15 +241,13 @@ class GridOperator:
             for a, m in enumerate(rev)
         ]
         lo, size = pad + step[0], math.prod(slab)
+        scratch = np.empty(2 * size)
         acc, buf = scratch[:size].reshape(slab), scratch[size:].reshape(slab)
         self._steps = steps = []
         for coef, inputs in terms:
             work = buf if steps else acc  # the first term sums in the accumulator
-            views = []
-            for sign, moves in inputs:
-                at = lo + sum(s * step[n - r] for r, s in moves.items())
-                views.append((sign, padded[at : at + size].reshape(slab)))
-            (_, first), *rest = views
+            (_, first), *rest = [(sign, padded[lo + at : lo + at + size].reshape(slab))
+                                 for sign, at in inputs]
             steps.extend(
                 (np.add if sign > 0 else np.subtract, work if j else first, view, work)
                 for j, (sign, view) in enumerate(rest)
@@ -260,17 +257,26 @@ class GridOperator:
                 steps.append((np.add, acc, buf, acc))
         # the slab's inner nodes, or nothing when every term vanishes
         self._result = acc[(slice(None),) + (slice(1, -1),) * (n - 1)] if steps else 0.0
+        # per diffusive direction, its distinct lines (see __init__) and their
+        # right-hand sides in the work array, in chain order and Fortran-ordered
+        self._lines = {}
+        for i, (order, r) in lines.items():
+            b = scratch[: self.shape.interior_points].reshape([rev[a] - 1 for a in order])
+            self._lines[i] = (order, r, b, b.reshape(-1, r.size).T)
+        self._factors: dict[tuple[int, float], tuple] = {}  # solve plan per valid (i, w)
+
+    def _one(self) -> BlockOperator:
+        """The ``BlockOperator`` of this small grid's part alone, built on first use."""
+        if self._block is None:
+            self._block = BlockOperator([self])
+        return self._block
 
     # -- operator application --------------------------------------------
 
     def apply(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.shape.total_points,):
-            raise ValueError(
-                f"vector length {y.size} does not match grid ({self.shape.total_points} nodes)"
-            )
-        if self._matrix is not None:
-            return self._matrix @ y
+        y = _vector(y, self.shape.total_points, "grid")
+        if self._part is not None:
+            return self._one().apply(y)
         self._nodes[...] = y.reshape(self._rev)
         for ghost, mirror in self._ghosts:
             ghost[...] = mirror
@@ -285,17 +291,20 @@ class GridOperator:
     def solve_directional(self, i: int, w: float, g: np.ndarray) -> np.ndarray:
         """Solve (I - w*A_i) K = g, one tridiagonal system per line.
 
-        Frozen rows are identities, so K = g there.  Lines with equal
-        coefficients share one factorisation: direction N has a single
-        distinct line, a direction i < N one per V row.  The distinct
-        lines are chained, uncoupled, into one tridiagonal system whose
-        rows are scaled by 1/d_j, built once per direction, to make it
-        symmetric positive definite.  The first call for each (i, w)
-        checks them and caches a plan (see ``_factor``); every call then
-        copies g, scales its interior rows into the plan's Fortran-ordered
-        right-hand sides, makes one ``dpttrs`` solve whose columns are the
-        repeats of the chain, and writes the solution back.
+        Frozen rows are identities, so K = g there.  A small grid solves
+        every line (see ``BlockOperator``).  A large grid chains only its
+        distinct lines, as lines with equal coefficients share one factor:
+        direction N has a single distinct line, a direction i < N one per
+        V row.  Each call copies g, scales its interior rows into the
+        plan's Fortran-ordered right-hand sides, makes one ``dpttrs``
+        solve whose columns are the repeats of the chain, and writes the
+        solution back.
         """
+        g = _vector(g, self.shape.total_points, "grid")
+        if self.check_rhs and np.any(g[~self.shape.inner_mask()]):
+            raise ValueError("right-hand side must vanish on frozen (outer) rows")
+        if self._part is not None:
+            return self._one().solve_directional(i, w, g)
         plan = self._factors.get((i, w))
         if plan is None:  # only a valid (i, w) is ever cached
             _check_solve(self.n_directions, i, w)
@@ -305,9 +314,7 @@ class GridOperator:
                 m = self.shape.interior_counts[i - 1]
                 plan = _factor(r.reshape(-1), np.arange(r.size) % m == m - 1, w)
             self._factors[(i, w)] = plan
-        if self.check_rhs:
-            self._assert_frozen_rows_zero(g)
-        out = np.asarray(g, dtype=float).copy()
+        out = g.copy()
         if plan:
             order, r, b, bt = self._lines[i]
             lines = out.reshape(self._rev)[self._interior].transpose(order)
@@ -319,18 +326,20 @@ class GridOperator:
     def lines_in_direction(self, i: int) -> int:
         return self.shape.line_count(i)
 
-    # -- plumbing --------------------------------------------------------
-
-    def _assert_frozen_rows_zero(self, g: np.ndarray) -> None:
-        if np.any(np.asarray(g)[~self.shape.inner_mask()]):
-            raise ValueError("right-hand side must vanish on frozen (outer) rows")
-
 
 def _sparse():
     """``scipy.sparse``, imported on first use, so ``import ratespde`` does not load it."""
     from scipy import sparse
 
     return sparse
+
+
+def _vector(y, size: int, what: str) -> np.ndarray:
+    """``y`` as a float array, checked to hold one value per node of the grid or block."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (size,):
+        raise ValueError(f"vector length {y.size} does not match {what} ({size} nodes)")
+    return y
 
 
 def _check_solve(n: int, i: int, w: float) -> None:
@@ -341,28 +350,36 @@ def _check_solve(n: int, i: int, w: float) -> None:
 
 
 def _factor(r: np.ndarray, ends: np.ndarray, w: float) -> tuple[np.ndarray, np.ndarray]:
-    """The ``dpttrf`` factor (d, e) of chained lines of I - w*A_i, rows scaled by r.
+    """The factor (d, e) of chained lines of I - w*A_i, rows scaled by r.
 
     ``ends`` marks the last row of each line, its Neumann row.  Row j,
     (1 + 2wd_j) x_j - wd_j (x_{j-1} + x_{j+1}), times r_j = 1/d_j has
     diagonal r_j + 2w and off-diagonals -w; the Neumann row (-2wd_M on its
-    lower neighbour) times r_M = 1/(2d_M) has diagonal r_M + w.
+    lower neighbour) times r_M = 1/(2d_M) has diagonal r_M + w.  A chain
+    of one row is its own factor.
     """
-    diag = r + 2.0 * w
-    diag[ends] = r[ends] + w
-    # scipy's dpttrf wants one off-diagonal entry even for a single row
-    e = np.full(max(r.size - 1, 1), -w)
+    d = r + 2.0 * w
+    d[ends] = r[ends] + w
+    e = np.full(r.size - 1, -w)
     e[ends[:-1]] = 0.0  # a row couples to its neighbours on the same line only
-    d, e, info = lapack.dpttrf(diag, e, overwrite_d=1, overwrite_e=1)
-    if info != 0:
-        raise FloatingPointError(f"tridiagonal factorisation failed (info={info})")
+    if r.size > 1:
+        d, e, info = lapack.dpttrf(d, e, overwrite_d=1, overwrite_e=1)
+        if info != 0:
+            raise FloatingPointError(f"tridiagonal factorisation failed (info={info})")
     if not (np.isfinite(d).all() and np.isfinite(e).all()):
         raise FloatingPointError("non-finite tridiagonal factor")
     return d, e
 
 
 def _pttrs(d: np.ndarray, e: np.ndarray, b: np.ndarray) -> None:
-    """Overwrite the Fortran-ordered right-hand sides b with the solution."""
+    """Overwrite the Fortran-ordered right-hand sides b with the solution.
+
+    A chain of one row is divided here, as ``dpttrs`` divides each row of
+    a longer chain (it would multiply this one by 1/d).
+    """
+    if d.size == 1:
+        b /= d
+        return
     info = lapack.dpttrs(d, e, b, overwrite_b=True)[1]
     if info != 0:
         raise FloatingPointError(f"tridiagonal solve failed (info={info})")
@@ -372,45 +389,38 @@ class BlockOperator:
     """A batch of small grids as one ``SplitOperator`` over their flat
     vectors, concatenated in order.
 
-    ``apply`` is one product with the block-diagonal CSR matrix made of
-    the components' matrices, their rows unchanged.  For each direction
-    i the constructor lists, component by component, the interior rows
-    of every direction-i line and their row scales;
-    ``solve_directional(i, w, g)`` gathers those rows from a copy of g,
-    scales them, solves every line in one ``dpttrs`` chain whose lines
-    couple with zeros, from a factor built once per (i, w), and scatters
-    the solution back.  A component whose distinct lines chain to a
-    single row, which LAPACK solves as b * (1/d), comes after the chain
-    and is multiplied by that reciprocal instead.  So every row is
-    computed as the component's own ``GridOperator`` computes it, and a
-    component's values do not depend on its batch.
+    The block concatenates the grids' parts (see
+    ``GridOperator._assemble``), each grid's rows offset by the nodes
+    before it.  ``apply`` is one product with the block-diagonal CSR
+    matrix of their matrices, their rows unchanged.
+    ``solve_directional(i, w, g)`` gathers the chained direction-i rows
+    of every grid from a copy of g, scales them, solves every line in one
+    ``dpttrs`` chain whose lines couple with zeros, from a factor built
+    once per (i, w), and scatters the solution back.  A zero coupling
+    leaves each line's arithmetic unchanged, so a grid's values are
+    bitwise the same alone, where it is a block of one, and in any batch.
     """
 
     def __init__(self, ops: Iterable[GridOperator]):
         # each operator is read and let go in turn, so only the pieces of the
         # block and one component's operator are held at once
         data, indices, indptr = [], [], [np.zeros(1, dtype=np.int32)]
-        lines: dict[int, tuple[list, list]] = {}  # direction: (chained, single) pieces
+        chains: dict[int, list] = {}  # direction: each grid's (rows, scales, ends)
         counts = None  # lines per direction
         size = 0
         for op in ops:
-            if op._matrix is None:
+            if op._part is None:
                 raise ValueError(f"a block holds grids of at most {CSR_MAX_NODES} nodes")
             own = [op.lines_in_direction(i) for i in range(1, op.n_directions + 1)]
             if counts is not None and len(own) != len(counts):
                 raise ValueError("the grids of a block need one dimension")
             counts = own if counts is None else [a + b for a, b in zip(counts, own)]
-            m = op._matrix
-            data.append(m.data)
-            indices.append(m.indices + np.int32(size))
-            indptr.append(m.indptr[1:] + indptr[-1][-1])
-            for i, (order, r, *_) in op._lines.items():
-                nodes = np.arange(size, size + op.shape.total_points).reshape(op._rev)
-                rows = nodes[op._interior].transpose(order)
-                line = rows.shape[-1]
-                piece = (rows.reshape(-1), np.broadcast_to(r, rows.shape).reshape(-1),
-                         np.arange(rows.size) % line == line - 1)
-                lines.setdefault(i, ([], []))[r.size == 1].append(piece)
+            matrix, own_chains = op._part
+            data.append(matrix.data)
+            indices.append(matrix.indices + np.int32(size))
+            indptr.append(matrix.indptr[1:] + indptr[-1][-1])
+            for i, (rows, scales, ends) in own_chains.items():
+                chains.setdefault(i, []).append((rows + size, scales, ends))
             size += op.shape.total_points
         if counts is None:
             raise ValueError("a block needs at least one grid")
@@ -421,43 +431,28 @@ class BlockOperator:
             (np.concatenate(data), np.concatenate(indices), np.concatenate(indptr)), shape=(size, size)
         )
         self._factors: dict[tuple[int, float], tuple] = {}
-        # per diffusive direction: the gathered rows and their scales, the
-        # chained lines first, and how many rows are chained, with the last
-        # row of each line marked
-        self._lines: dict[int, tuple[np.ndarray, np.ndarray, int, np.ndarray]] = {}
-        for i, (chained, single) in lines.items():
-            parts = chained + single
-            self._lines[i] = (
-                np.concatenate([rows for rows, _, _ in parts]),
-                np.concatenate([scales for _, scales, _ in parts]),
-                sum(rows.size for rows, _, _ in chained),
-                np.concatenate([ends for _, _, ends in chained] or [np.zeros(0, dtype=bool)]),
-            )
+        # per diffusive direction: the chained rows, their scales and line ends
+        self._chains = {i: tuple(map(np.concatenate, zip(*parts))) for i, parts in chains.items()}
 
     def apply(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.size,):
-            raise ValueError(f"vector length {y.size} does not match block ({self.size} nodes)")
-        return self._matrix @ y
+        return self._matrix @ _vector(y, self.size, "block")
 
     def solve_directional(self, i: int, w: float, g: np.ndarray) -> np.ndarray:
+        g = _vector(g, self.size, "block")
         plan = self._factors.get((i, w))
         if plan is None:  # only a valid (i, w) is ever cached
             _check_solve(self.n_directions, i, w)
             plan = ()
-            if w != 0.0 and i in self._lines:
-                rows, scales, chained, ends = self._lines[i]
-                factor = _factor(scales[:chained], ends, w) if chained else ()
-                plan = (rows, scales, chained, factor, 1.0 / (scales[chained:] + w))
+            if w != 0.0 and i in self._chains:
+                rows, scales, ends = self._chains[i]
+                plan = (rows, scales, _factor(scales, ends, w))
             self._factors[(i, w)] = plan
-        out = np.asarray(g, dtype=float).copy()
+        out = g.copy()
         if plan:
-            rows, scales, chained, factor, inverse = plan
+            rows, scales, factor = plan
             x = out[rows]
             x *= scales
-            if chained:
-                _pttrs(*factor, x[:chained])
-            x[chained:] *= inverse
+            _pttrs(*factor, x)
             out[rows] = x
         return out
 

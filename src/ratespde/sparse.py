@@ -175,10 +175,10 @@ def solve_component_grids(
     Pipeline: payoff initial states, time integration over the horizon,
     multilinear evaluation of each grid at the domain's evaluation point,
     then the product's discount factor and the basis-point scale.  One
-    grid is integrated through its own ``GridOperator``; several, each
-    of at most ``CSR_MAX_NODES`` nodes, through one ``BlockOperator``
-    over their concatenated states.  A grid's price is bitwise the same
-    either way.
+    grid is integrated through its own ``GridOperator``, which runs a grid
+    of at most ``CSR_MAX_NODES`` nodes as a ``BlockOperator`` of one;
+    several such grids through one ``BlockOperator`` over their
+    concatenated states, so a grid's price is bitwise the same either way.
     """
     shapes = [shape_for_levels(l, product, domain) for l in levels]
     states = [initial_state(market, product, s).values for s in shapes]

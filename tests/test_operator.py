@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import ratespde.operator as operator_mod
 from ratespde import (
     CAPLET,
     SWAPTION,
@@ -36,6 +37,19 @@ def make_operator(shape_counts, *, sigma=0.3, phi=0.4, beta=1.0, n_forwards=None
     bounds = (0.04,) * (dims - 1) + (3.5,)
     shape = GridShape(shape_counts, bounds)
     return GridOperator(market, product, shape, **kw), market, product, shape
+
+
+def record_factors(monkeypatch):
+    """The shift of every tridiagonal factor built from now on, in order."""
+    shifts = []
+    build = operator_mod._factor
+
+    def recorded(r, ends, w):
+        shifts.append(w)
+        return build(r, ends, w)
+
+    monkeypatch.setattr(operator_mod, "_factor", recorded)
+    return shifts
 
 
 def assert_only_diffusion_block(op, i):
@@ -337,36 +351,75 @@ class TestDirectionalSolve:
             digests = tuple(hashlib.sha256(o.tobytes()).hexdigest()[:16] for o in outs)
             assert digests == self.FROZEN_DIGESTS[counts]
 
-    def test_bad_input_rejected_after_valid_call_cached(self):
-        op, *_ = make_operator((5, 4))
-        g = rng().normal(size=op.shape.total_points) * op.shape.inner_mask()
-        for i in (1, 2):
-            op.solve_directional(i, 0.3, g)
-        for i in (0, 3):
-            with pytest.raises(ValueError, match="direction"):
+    # the next two tests run a block of one, which caches its plans in its
+    # block, and (128, 128), over CSR_MAX_NODES, which caches them itself
+    def test_bad_input_rejected_after_valid_call_cached(self, monkeypatch):
+        shifts = record_factors(monkeypatch)
+        for counts in [(5, 4), (128, 128)]:
+            shifts.clear()
+            op, *_ = make_operator(counts)
+            g = rng().normal(size=op.shape.total_points) * op.shape.inner_mask()
+            for i in (1, 2):
                 op.solve_directional(i, 0.3, g)
-        for w in (math.nan, -0.1, math.inf):
-            with pytest.raises(ValueError, match="shift"):
-                op.solve_directional(1, w, g)
-        assert set(op._factors) == {(1, 0.3), (2, 0.3)}
-        with pytest.raises(ValueError):
-            op.solve_directional(1, 0.3, g[:-1])
-        op.check_rhs = True
-        with pytest.raises(ValueError, match="frozen"):
-            op.solve_directional(1, 0.3, g + 1.0)
+            for _ in range(2):  # a rejected (i, w) is never cached, so it fails again
+                for i in (0, 3):
+                    with pytest.raises(ValueError, match="direction"):
+                        op.solve_directional(i, 0.3, g)
+                for w in (math.nan, -0.1, math.inf):
+                    with pytest.raises(ValueError, match="shift"):
+                        op.solve_directional(1, w, g)
+            for i in (1, 2):
+                op.solve_directional(i, 0.3, g)
+            assert shifts == [0.3, 0.3]  # one factor per valid (i, w), then reused
+            with pytest.raises(ValueError):
+                op.solve_directional(1, 0.3, g[:-1])
+            op.check_rhs = True
+            with pytest.raises(ValueError, match="frozen"):
+                op.solve_directional(1, 0.3, g + 1.0)
 
-    def test_factor_cache_reused_and_consistent(self):
-        op, *_ = make_operator((8, 8))
-        g = rng().normal(size=op.shape.total_points) * op.shape.inner_mask()
-        first = op.solve_directional(1, 0.2, g)
-        assert (1, 0.2) in op._factors
-        second = op.solve_directional(1, 0.2, g)
-        assert np.array_equal(first, second)
+    def test_factor_cache_reused_and_consistent(self, monkeypatch):
+        shifts = record_factors(monkeypatch)
+        for counts in [(8, 8), (128, 128)]:
+            shifts.clear()
+            op, *_ = make_operator(counts)
+            g = rng().normal(size=op.shape.total_points) * op.shape.inner_mask()
+            first = op.solve_directional(1, 0.2, g)
+            assert shifts == [0.2]
+            second = op.solve_directional(1, 0.2, g)
+            assert shifts == [0.2]
+            assert np.array_equal(first, second)
+
+    def test_length_checked_before_any_work(self):
+        small, *_ = make_operator((4, 4))
+        large, *_ = make_operator((128, 128))
+        block = BlockOperator([small, small])
+        for op, size in ((small, 25), (large, 129 * 129), (block, 50)):
+            for n in (size + 3, size - 1):
+                for w in (0.0, 0.3):
+                    with pytest.raises(ValueError, match=f"vector length {n} does not match"):
+                        op.solve_directional(1, w, np.zeros(n))
+
+    def test_one_row_chain_divides(self):
+        # over CSR_MAX_NODES, direction 2 has one distinct line of one row,
+        # repeated on 16384 columns: each row is its scaled value over the
+        # diagonal r + w, with r = 1/(2 d_M) on the Neumann row
+        op, *_ = make_operator((16384, 1))
+        assert op.shape.total_points == 32_770
+        g = np.random.default_rng(7).normal(size=op.shape.total_points) * op.shape.inner_mask()
+        v = op.shape.axis_coordinates(2)[1:]
+        r = 1.0 / (op.model.diffusion(2, v, v) / op.shape.spacings[1] ** 2)
+        r *= 0.5
+        w = 0.3
+        rows = g.reshape(op.shape.reversed_points)[1:, 1:]
+        expected = g.copy()
+        expected.reshape(op.shape.reversed_points)[1:, 1:] = rows * r / (r + w)
+        assert np.array_equal(op.solve_directional(2, w, g), expected)
 
 
 class TestBlockOperator:
-    # one-interval directions give lines of one row, and chains of one row
-    # when the volatility direction has one interval too
+    # one-interval directions give lines of one row; (1, 1) and (1, 1, 1)
+    # alone chain a single row, which the solve divides like every row of a
+    # longer chain
     SHAPES = {
         2: [(4, 1), (1, 4), (1, 1), (3, 5), (2, 2), (6, 3), (16, 1)],
         3: [(1, 1, 1), (2, 1, 3), (1, 2, 1), (3, 2, 2), (4, 4, 1)],

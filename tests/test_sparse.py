@@ -1,4 +1,5 @@
 import concurrent.futures
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -7,10 +8,13 @@ import pytest
 
 import ratespde.sparse as sparse_mod
 from ratespde import (
+    CAPLET,
+    SWAPTION,
     AmfrW2Config,
     ComponentSolveError,
     DomainSpec,
     GridTooLargeError,
+    ProductSpec,
     combine,
     count_points,
     full_plan,
@@ -383,8 +387,8 @@ class TestCombine:
 
 class TestBatches:
     def test_batch_layout_does_not_change_bits(self, market_sv, caplet):
-        # (l, 0) and (0, l) grids have directions whose distinct lines chain
-        # to a single row, which LAPACK solves by a reciprocal
+        # (l, 0) and (0, l) grids have directions of one-row lines, which
+        # every batch chains and divides row by row
         domain = DomainSpec.for_product(market_sv, caplet, 0.04, 3.5)
         cfg = AmfrW2Config(num_steps=3)
         levels = [t.levels for t in standard_plan(5, 2).terms]
@@ -395,6 +399,25 @@ class TestBatches:
             for lo, hi in zip([0] + cuts, cuts + [len(levels)]):
                 values += sparse_mod.solve_component_grids(levels[lo:hi], market_sv, caplet, domain, cfg)
             assert values == alone
+
+    # the all-ones grid chains a single row when alone and joins longer
+    # chains in a batch; both divide each row by its pivot.  At most step
+    # counts the stage sums absorb a one-ulp change in that row's solve;
+    # at these the price shows it
+    @pytest.mark.parametrize("dims, steps", [(2, 32), (3, 26)])
+    def test_one_row_grid_same_bits_in_every_split(self, market_sv, dims, steps):
+        product = ProductSpec(CAPLET, 1, 2) if dims == 2 else ProductSpec(SWAPTION, 1, 3)
+        domain = DomainSpec.for_product(market_sv, product, 0.04, 3.5)
+        cfg = AmfrW2Config(num_steps=steps)
+        levels = [t.levels for t in standard_plan(dims - 1, dims).terms]
+        assert (0,) * dims in levels
+        alone = [solve_component_grid(l, market_sv, product, domain, cfg) for l in levels]
+        for k in range(3):  # 1, 2 and 3 batches
+            for cuts in itertools.combinations(range(1, len(levels)), k):
+                values = []
+                for lo, hi in zip((0,) + cuts, cuts + (len(levels),)):
+                    values += sparse_mod.solve_component_grids(levels[lo:hi], market_sv, product, domain, cfg)
+                assert values == alone
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_nonfinite_component_named_from_inside_a_batch(self, market_sv, caplet, monkeypatch, threads):
