@@ -23,7 +23,6 @@ from .market import (
     validate_domain,
 )
 from .operator import (
-    BlockOperator,
     GridOperator,
     StateVector,
     initial_state,

@@ -26,7 +26,9 @@ from .market import (
     black_caplet_price,
     validate_domain,
 )
-from .sparse import FULL, MODIFIED, CombinationPlan, combine, full_plan, modified_plan, standard_plan
+from .sparse import (
+    FULL, MODIFIED, CombinationPlan, admit, combine, full_plan, modified_plan, standard_plan,
+)
 from .stepper import THETA_ORDER3, AmfrW2Config
 
 SPARSE = "sparse"
@@ -390,19 +392,25 @@ def _format_row(row: TableRow) -> str:
 
 
 def run(cfg: RunConfig, *, quiet: bool = False, out=None) -> list[TableRow]:
-    """Execute every (steps, level) cell of the schedule and tabulate."""
+    """Execute every (steps, level) cell of the schedule and tabulate.
+
+    Every level's plan is admitted (see ``admit``) before the first is priced.
+    """
     out = out if out is not None else sys.stdout
     for violation in validate_domain(cfg.market, cfg.domain, cfg.product):
         print(f"warning: {violation}", file=sys.stderr)
     reference = _resolve_reference(cfg)
+    plans = [_plan(cfg.technique, level, cfg.product.dimension, cfg.psi) for level in cfg.levels]
+    for plan in plans:
+        admit(plan, cfg.product, cfg.domain, cfg.max_nodes)
     rows: list[TableRow] = []
     if not quiet:
         print(_HEADER, file=out)
     for steps in cfg.steps:
         int_cfg = AmfrW2Config(num_steps=steps, theta=cfg.theta, nu=cfg.nu)
-        for level in cfg.levels:
+        for level, plan in zip(cfg.levels, plans):
             result = combine(
-                _plan(cfg.technique, level, cfg.product.dimension, cfg.psi),
+                plan,
                 cfg.market,
                 cfg.product,
                 cfg.domain,
@@ -438,6 +446,20 @@ def _write_csv(path: str, rows: list[TableRow]) -> None:
         raise
 
 
+def _csv_problem(path: str) -> str | None:
+    """Why the table could not be written to ``path``, or None."""
+    if not path:
+        return "the path is empty"
+    directory = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        return "is a directory"
+    if not os.path.isdir(directory):
+        return f"directory {directory} does not exist"
+    if not os.access(directory, os.W_OK | os.X_OK):
+        return "directory not writable"
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="price",
@@ -471,14 +493,10 @@ def main(argv: list[str] | None = None) -> int:
         cfg = replace(cfg, csv_path=args.csv)
     if args.threads is not None:
         cfg = replace(cfg, threads=args.threads)
-    if cfg.csv_path is not None:
-        directory = os.path.dirname(os.path.abspath(cfg.csv_path))
-        if os.path.isdir(cfg.csv_path):
-            print(f"error: cannot write {cfg.csv_path}: is a directory", file=sys.stderr)
-            return 2
-        if not os.access(directory, os.W_OK | os.X_OK):
-            print(f"error: cannot write {cfg.csv_path}: directory not writable", file=sys.stderr)
-            return 2
+    problem = _csv_problem(cfg.csv_path) if cfg.csv_path is not None else None
+    if problem is not None:
+        print(f"error: cannot write {cfg.csv_path!r}: {problem}", file=sys.stderr)
+        return 2
     try:
         run(cfg, quiet=args.quiet)
     except (ComponentSolveError, FloatingPointError, ConfigError, ValueError, OSError) as err:

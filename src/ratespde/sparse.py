@@ -33,7 +33,6 @@ from .indexing import GridShape
 from .market import DomainSpec, MarketData, ProductSpec, product_discount
 from .operator import (
     CSR_MAX_NODES,
-    BlockOperator,
     GridOperator,
     StateVector,
     _sparse,
@@ -174,19 +173,16 @@ def solve_component_grids(
 
     Pipeline: payoff initial states, time integration over the horizon,
     multilinear evaluation of each grid at the domain's evaluation point,
-    then the product's discount factor and the basis-point scale.  One
-    grid is integrated through its own ``GridOperator``, which runs a grid
-    of at most ``CSR_MAX_NODES`` nodes as a ``BlockOperator`` of one;
-    several such grids through one ``BlockOperator`` over their
-    concatenated states, so a grid's price is bitwise the same either way.
+    then the product's discount factor and the basis-point scale.  The
+    grids are integrated together through one ``GridOperator`` over their
+    concatenated states, which holds either a single grid of any size or
+    grids of at most ``CSR_MAX_NODES`` nodes; a grid's price is bitwise
+    the same alone or in any batch.
     """
     shapes = [shape_for_levels(l, product, domain) for l in levels]
     states = [initial_state(market, product, s).values for s in shapes]
-    if len(shapes) == 1:
-        y0, op = states[0], GridOperator(market, product, shapes[0])
-    else:
-        y0 = np.concatenate(states)
-        op = BlockOperator(GridOperator(market, product, s) for s in shapes)
+    y0 = states[0] if len(states) == 1 else np.concatenate(states)  # a lone state is not copied
+    op = GridOperator(market, product, *shapes)
     final = integrate(op, y0, domain.horizon, config)
     scale = 1.0e4 * product_discount(market, product)
     values, start = [], 0
@@ -249,11 +245,13 @@ def _solve_batch(
 
 
 def _batches(points: Sequence[int], dims: int, workers: int) -> list[range]:
-    """Split plan indices, in plan order, into runs solved as one batch.
+    """Split plan indices, in plan order, into runs each solved through
+    one ``GridOperator``.
 
-    A grid over ``CSR_MAX_NODES`` nodes is a batch of its own.  The small
-    grids are dealt to ``workers`` runs of about equal node count, hence
-    equal node-steps: a grid joins the run its middle node falls in.  A
+    A grid over ``CSR_MAX_NODES`` nodes is a batch of its own, since an
+    operator holds no other grid with it.  The small grids are dealt to
+    ``workers`` runs of about equal node count, hence equal node-steps:
+    a grid joins the run its middle node falls in.  A
     run is also cut before its CSR matrix could pass
     ``MAX_BATCH_NONZEROS``, counting 2*dims**2 + 3*dims entries per node:
     a row holds at most 3 per diffusion, 4 per cross and 2 per drift term.
@@ -280,6 +278,25 @@ def _batches(points: Sequence[int], dims: int, workers: int) -> list[range]:
     return batches
 
 
+def admit(
+    plan: CombinationPlan, product: ProductSpec, domain: DomainSpec, max_nodes: int | None
+) -> list[int]:
+    """The node count of every component, in plan order, once the plan is
+    checked against the product and every component against ``max_nodes``.
+
+    An oversized component raises ``ComponentSolveError`` naming its
+    levels, caused by ``GridTooLargeError``.
+    """
+    if plan.dims != product.dimension:
+        raise ValueError(f"plan is {plan.dims}-dimensional, product needs {product.dimension}")
+    points = [shape_for_levels(t.levels, product, domain).total_points for t in plan.terms]
+    if max_nodes is not None:
+        for term, count in zip(plan.terms, points):
+            if count > max_nodes:
+                raise ComponentSolveError(term.levels) from GridTooLargeError(count, max_nodes)
+    return points
+
+
 def combine(
     plan: CombinationPlan,
     market: MarketData,
@@ -299,7 +316,7 @@ def combine(
     against ``max_nodes`` before any solve starts.  The plan is split, in
     plan order, into batches (see ``_batches``): the grids of at most
     ``CSR_MAX_NODES`` nodes are solved together through one
-    ``BlockOperator`` per batch, every larger grid alone, and each
+    ``GridOperator`` per batch, every larger grid alone, and each
     component's price is bitwise what it is alone.  Workers are forked,
     so they see the engine exactly as this process does, ``scipy.sparse``
     included, which is loaded before the fork.  A batch that fails is
@@ -308,15 +325,9 @@ def combine(
     batches not yet started.  The reduction happens in plan order, so the
     combined value does not depend on the worker count.
     """
-    if plan.dims != product.dimension:
-        raise ValueError(f"plan is {plan.dims}-dimensional, product needs {product.dimension}")
     if threads is not None and _integer("threads", threads) < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    points = [shape_for_levels(t.levels, product, domain).total_points for t in plan.terms]
-    if max_nodes is not None:
-        for term, count in zip(plan.terms, points):
-            if count > max_nodes:
-                raise ComponentSolveError(term.levels) from GridTooLargeError(count, max_nodes)
+    points = admit(plan, product, domain, max_nodes)
 
     started = time.perf_counter()
     cpus = os.cpu_count() or 1

@@ -443,7 +443,6 @@ def test_criterion_9_cost_accounting(sv_market):
     )
 
 
-@pytest.mark.slow
 def test_high_dimensional_run_starts_and_admits():
     market = make_market(sigma=0.3, phi=0.4, lam=0.1)
     product = ProductSpec("swaption", 1, 6)  # five forwards plus volatility

@@ -340,6 +340,17 @@ class TestMain:
         assert main([str(config)]) == 1
         assert "exceeds the cap" in capsys.readouterr().err
 
+    def test_later_level_over_the_cap_fails_before_any_level_is_priced(self, tmp_path, capsys):
+        # level 6 has 4,225 nodes and level 9 has 263,169
+        config = tmp_path / "run.txt"
+        text = MINIMAL_CAPLET.replace("levels = 4", "levels = 6, 9")
+        config.write_text(text + "max_nodes = 100000\n")
+        assert main([str(config), "--threads", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "component grid (9, 9) failed" in captured.err
+        assert "exceeds the cap of 100000" in captured.err
+
     def test_underflowing_diffusion_exits_without_price(self, tmp_path, capsys):
         config = tmp_path / "run.txt"
         config.write_text(MINIMAL_CAPLET.replace("alphas = 0.0, 0.2366", "alphas = 0.0, 1e-160"))
@@ -365,6 +376,15 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert str(target) in captured.err
+        assert f"directory {target.parent} does not exist" in captured.err
+
+    def test_empty_csv_path_exits_before_pricing(self, tmp_path, capsys):
+        config = tmp_path / "run.txt"
+        config.write_text(MINIMAL_CAPLET)
+        assert main([str(config), "--csv", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "the path is empty" in captured.err
 
     @pytest.mark.parametrize("via_option", [True, False])
     def test_csv_naming_a_directory_exits_before_pricing(self, tmp_path, capsys, via_option):

@@ -9,7 +9,6 @@ import ratespde.operator as operator_mod
 from ratespde import (
     CAPLET,
     SWAPTION,
-    BlockOperator,
     GridOperator,
     GridShape,
     PdeModel,
@@ -351,8 +350,8 @@ class TestDirectionalSolve:
             digests = tuple(hashlib.sha256(o.tobytes()).hexdigest()[:16] for o in outs)
             assert digests == self.FROZEN_DIGESTS[counts]
 
-    # the next two tests run a block of one, which caches its plans in its
-    # block, and (128, 128), over CSR_MAX_NODES, which caches them itself
+    # the next two tests run a small grid, which solves a gathered chain,
+    # and (128, 128), over CSR_MAX_NODES, which solves its distinct lines
     def test_bad_input_rejected_after_valid_call_cached(self, monkeypatch):
         shifts = record_factors(monkeypatch)
         for counts in [(5, 4), (128, 128)]:
@@ -390,9 +389,9 @@ class TestDirectionalSolve:
             assert np.array_equal(first, second)
 
     def test_length_checked_before_any_work(self):
-        small, *_ = make_operator((4, 4))
+        small, market, product, shape = make_operator((4, 4))
         large, *_ = make_operator((128, 128))
-        block = BlockOperator([small, small])
+        block = GridOperator(market, product, shape, shape)
         for op, size in ((small, 25), (large, 129 * 129), (block, 50)):
             for n in (size + 3, size - 1):
                 for w in (0.0, 0.3):
@@ -417,6 +416,8 @@ class TestDirectionalSolve:
 
 
 class TestBlockOperator:
+    """Small grids batched in one ``GridOperator``: a block-diagonal system."""
+
     # one-interval directions give lines of one row; (1, 1) and (1, 1, 1)
     # alone chain a single row, which the solve divides like every row of a
     # longer chain
@@ -427,8 +428,10 @@ class TestBlockOperator:
 
     @staticmethod
     def parts(dims):
-        ops = [make_operator(counts)[0] for counts in TestBlockOperator.SHAPES[dims]]
-        return ops, BlockOperator(iter(ops))
+        """Each grid's own operator, and one operator over all of them."""
+        built = [make_operator(counts) for counts in TestBlockOperator.SHAPES[dims]]
+        _, market, product, _ = built[0]
+        return [op for op, *_ in built], GridOperator(market, product, *(s for *_, s in built))
 
     @staticmethod
     def split(ops, x):
@@ -460,21 +463,33 @@ class TestBlockOperator:
             assert block.lines_in_direction(i) == sum(op.lines_in_direction(i) for op in ops)
 
     def test_bad_blocks_and_inputs_rejected(self):
-        small, *_ = make_operator((4, 4))
-        large, *_ = make_operator((128, 128))
-        solid, *_ = make_operator((2, 2, 2))
-        for ops in ([], [small, large], [small, solid]):
+        _, market, product, small = make_operator((4, 4))
+        large = make_operator((128, 128))[3]
+        solid = make_operator((2, 2, 2))[3]
+        for shapes in ((), (small, large), (large, small), (small, solid)):
             with pytest.raises(ValueError):
-                BlockOperator(ops)
-        block = BlockOperator([small, small])
+                GridOperator(market, product, *shapes)
+        block = GridOperator(market, product, small, small)
         with pytest.raises(ValueError):
-            block.apply(np.zeros(small.shape.total_points))
+            block.apply(np.zeros(small.total_points))
         g = np.zeros(block.size)
         with pytest.raises(ValueError, match="direction"):
             block.solve_directional(3, 0.1, g)
         for w in (math.nan, -0.1, math.inf):
             with pytest.raises(ValueError, match="shift"):
                 block.solve_directional(1, w, g)
+
+    def test_frozen_rows_checked_in_every_grid(self):
+        _, market, product, first = make_operator((4, 4))
+        second = make_operator((3, 5))[3]
+        block = GridOperator(market, product, first, second, check_rhs=True)
+        mask = np.concatenate([first.inner_mask(), second.inner_mask()])
+        good = rng().normal(size=block.size) * mask
+        block.solve_directional(1, 0.1, good)
+        bad = good.copy()
+        bad[first.total_points + np.flatnonzero(~second.inner_mask())[-1]] = 1.0
+        with pytest.raises(ValueError, match="frozen"):
+            block.solve_directional(1, 0.1, bad)
 
 
 class TestCoefficientGuard:
