@@ -20,20 +20,32 @@ makes one LAPACK solve over the lines chained, from a factor cached per
 (direction, shift).  One ``GridOperator`` serves one grid or a batch of
 small grids, and the grids' size picks one of two regimes.  Grids of at
 most ``CSR_MAX_NODES`` nodes, alone or batched, are one block-diagonal
-CSR matrix (scipy.sparse, imported on first use) and one gathered chain
-of all their lines.  A larger grid, always alone, is a flat program of
-ufunc calls on prebuilt views of one padded copy of the input, extended
-by the ghost layer, and one chain of its distinct lines whose repeats
-are the solve's columns.
+CSR matrix and one gathered chain of all their lines.  A larger grid,
+always alone, is a flat program of ufunc calls on prebuilt views of one
+padded copy of the input, extended by the ghost layer, and one chain of
+its distinct lines whose repeats are the solve's columns.
+
+The three compiled routines used, LAPACK's ``dpttrf`` and ``dpttrs`` and
+the CSR product ``csr_matvec``, come from scipy's extension modules
+``scipy.linalg.cython_lapack`` and ``scipy.sparse._sparsetools``, loaded
+from their files so that neither package's ``__init__`` runs (see
+``_extension``).  The LAPACK routines are called through ``ctypes``,
+which releases the interpreter lock, so every argument is checked here
+first.
 """
 
 from __future__ import annotations
 
+import ctypes
+import importlib.util
 import math
+import os
+import re
 from dataclasses import dataclass
+from importlib.machinery import PathFinder
 
 import numpy as np
-from scipy.linalg import lapack
+import scipy
 
 from .indexing import GridShape
 from .market import MarketData, PdeModel, ProductSpec, payoff
@@ -115,7 +127,7 @@ class GridOperator:
         # chain, and where the chain's rows are (see solve_directional)
         self._lines: dict[int, tuple] = {}
         self._factors: dict[tuple[int, float], tuple] = {}  # factor per valid (i, w)
-        self._matrix = None  # the small grids' CSR matrix
+        self._matrix = None  # the small grids' CSR arrays (indptr, columns, values)
         pieces, start = [], 0  # each small grid's part (see _assemble), its first node
         for shape in shapes:  # each grid's discretisation is let go before the next
             rev, h = shape.reversed_points, shape.spacings
@@ -189,9 +201,7 @@ class GridOperator:
             values, columns, counts, chains = zip(*pieces)
             indptr = np.concatenate([np.zeros(1, dtype=np.int32),
                                      np.cumsum(np.concatenate(counts), dtype=np.int32)])
-            self._matrix = _sparse().csr_array(
-                (np.concatenate(values), np.concatenate(columns), indptr), shape=(self.size, self.size)
-            )
+            self._matrix = _csr(np.concatenate(values), np.concatenate(columns), indptr, self.size)
             for i in range(1, n + 1):
                 if own := [grid[i] for grid in chains if i in grid]:
                     self._lines[i] = tuple(map(np.concatenate, zip(*own)))
@@ -249,7 +259,9 @@ class GridOperator:
     def apply(self, y: np.ndarray) -> np.ndarray:
         y = _vector(y, self.size)
         if self._matrix is not None:
-            return self._matrix @ y
+            out = np.zeros(self.size)
+            _csr_matvec(self.size, self.size, *self._matrix, y, out)
+            return out
         self._nodes[...] = y.reshape(self._rev)
         for ghost, mirror in self._ghosts:
             ghost[...] = mirror
@@ -309,11 +321,73 @@ class GridOperator:
         return sum(s.line_count(i) for s in self.shapes)
 
 
-def _sparse():
-    """``scipy.sparse``, imported on first use, so ``import ratespde`` does not load it."""
-    from scipy import sparse
+def _extension(package: str, name: str):
+    """scipy's extension module ``scipy.<package>.<name>``.
 
-    return sparse
+    It is loaded from its file in the package's directory, so the
+    package's ``__init__``, which imports all of ``scipy.linalg`` or
+    ``scipy.sparse``, does not run.  Where the path finder finds no such
+    file, it is imported normally.
+    """
+    spec = PathFinder.find_spec(name, [os.path.join(p, package) for p in scipy.__path__])
+    if spec is None:
+        return importlib.import_module(f"scipy.{package}.{name}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the C-API calls that open a capsule, as prototypes of our own, so that
+# the shared ``ctypes.pythonapi`` functions keep their settings
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi)
+)
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi)
+)
+_LAPACK = _extension("linalg", "cython_lapack").__pyx_capi__
+_INT = ctypes.POINTER(ctypes.c_int)
+_INT_MAX = 2**31 - 1
+
+
+def _routine(name: str, signature: str):
+    """LAPACK's ``name`` as a ``ctypes`` function, which releases the interpreter lock.
+
+    The Cython capsule holding the pointer is named by its C signature.
+    With the typedef prefixes dropped it must read ``signature``: ``int *``
+    is a 32-bit integer, ``d *`` a float64 array, passed by address.
+    """
+    capsule = _LAPACK[name]
+    label = _capsule_name(capsule)
+    found = re.sub(r"__pyx_t_\w*_", "", label.decode())
+    if found != signature:
+        raise ImportError(f"scipy's {name} reads {found!r}, not {signature!r}")
+    args = signature.removeprefix("void (").removesuffix(")").split(", ")
+    prototype = ctypes.CFUNCTYPE(None, *[_INT if a == "int *" else ctypes.c_void_p for a in args])
+    return prototype(_capsule_pointer(capsule, label))
+
+
+# arguments: n, d, e, info; and n, nrhs, d, e, b, ldb, info
+_dpttrf = _routine("dpttrf", "void (int *, d *, d *, int *)")
+_dpttrs = _routine("dpttrs", "void (int *, int *, d *, d *, d *, int *, int *)")
+_csr_matvec = _extension("sparse", "_sparsetools").csr_matvec
+
+
+def _csr(values: np.ndarray, columns: np.ndarray, indptr: np.ndarray, size: int) -> tuple:
+    """The arrays (indptr, columns, values) of a size x size CSR matrix.
+
+    ``csr_matvec`` trusts them, so this checks what scipy's constructor
+    checks, and that every column lies in the matrix.
+    """
+    nnz = values.size
+    shaped = indptr.shape == (size + 1,) and columns.shape == (nnz,)
+    if not (shaped and indptr[0] == 0 and indptr[-1] == nnz):
+        raise ValueError(f"CSR row pointers do not frame {nnz} entries of {size} rows")
+    if np.any(indptr[1:] < indptr[:-1]):
+        raise ValueError("CSR row pointers decrease")
+    if nnz and not 0 <= columns.min() <= columns.max() < size:
+        raise ValueError(f"CSR column outside 0..{size - 1}")
+    return indptr, columns, values
 
 
 def _assemble(nodes: np.ndarray, slab: tuple[int, ...], terms: list, lines: dict) -> tuple:
@@ -382,6 +456,33 @@ def _check_solve(n: int, i: int, w: float) -> None:
         raise ValueError("directional solve needs a finite nonnegative shift")
 
 
+def _sizes(d: np.ndarray, e: np.ndarray, b: np.ndarray) -> tuple[ctypes.c_int, ctypes.c_int]:
+    """The rows n and right-hand sides nrhs of a LAPACK call, as C ints.
+
+    The routines trust their pointers, so this checks what scipy's
+    wrapper checked: float64 arrays, ``e`` one shorter than ``d``, one row
+    of ``b`` per row of ``d``, sizes that fit a C int, ``d`` and ``e``
+    contiguous and ``b``, which the routine overwrites, writable and
+    Fortran-contiguous.  A factorisation passes ``d``, which it
+    overwrites, as ``b``.
+    """
+    if not d.dtype == e.dtype == b.dtype == np.float64:
+        raise ValueError("a tridiagonal system needs float64 arrays")
+    if e.size != d.size - 1 or b.shape[:1] != (d.size,):
+        raise ValueError(
+            f"a tridiagonal system of {d.size} rows has {e.size} couplings "
+            f"and right-hand sides of shape {b.shape}"
+        )
+    n, nrhs = d.size, b.size // d.size
+    if max(n, nrhs) > _INT_MAX:
+        raise ValueError(f"{n} rows and {nrhs} right-hand sides exceed LAPACK's 32-bit sizes")
+    if not (d.flags.c_contiguous and e.flags.c_contiguous and b.flags.f_contiguous):
+        raise ValueError("a tridiagonal system needs contiguous arrays, Fortran-ordered right-hand sides")
+    if not b.flags.writeable:
+        raise ValueError("the right-hand sides of a tridiagonal solve must be writable")
+    return ctypes.c_int(n), ctypes.c_int(nrhs)
+
+
 def _factor(r: np.ndarray, ends: np.ndarray, w: float) -> tuple[np.ndarray, np.ndarray]:
     """The factor (d, e) of chained lines of I - w*A_i, rows scaled by r.
 
@@ -395,10 +496,12 @@ def _factor(r: np.ndarray, ends: np.ndarray, w: float) -> tuple[np.ndarray, np.n
     d[ends] = r[ends] + w
     e = np.full(r.size - 1, -w)
     e[ends[:-1]] = 0.0  # a row couples to its neighbours on the same line only
+    n, _ = _sizes(d, e, d)
     if r.size > 1:
-        d, e, info = lapack.dpttrf(d, e, overwrite_d=1, overwrite_e=1)
-        if info != 0:
-            raise FloatingPointError(f"tridiagonal factorisation failed (info={info})")
+        info = ctypes.c_int()
+        _dpttrf(n, d.ctypes.data, e.ctypes.data, info)
+        if info.value != 0:
+            raise FloatingPointError(f"tridiagonal factorisation failed (info={info.value})")
     if not (np.isfinite(d).all() and np.isfinite(e).all()):
         raise FloatingPointError("non-finite tridiagonal factor")
     return d, e
@@ -410,12 +513,14 @@ def _pttrs(d: np.ndarray, e: np.ndarray, b: np.ndarray) -> None:
     A chain of one row is divided here, as ``dpttrs`` divides each row of
     a longer chain (it would multiply this one by 1/d).
     """
+    n, nrhs = _sizes(d, e, b)
     if d.size == 1:
         b /= d
         return
-    info = lapack.dpttrs(d, e, b, overwrite_b=True)[1]
-    if info != 0:
-        raise FloatingPointError(f"tridiagonal solve failed (info={info})")
+    info = ctypes.c_int()
+    _dpttrs(n, nrhs, d.ctypes.data, e.ctypes.data, b.ctypes.data, n, info)
+    if info.value != 0:
+        raise FloatingPointError(f"tridiagonal solve failed (info={info.value})")
 
 
 def initial_state(market: MarketData, product: ProductSpec, shape: GridShape) -> StateVector:

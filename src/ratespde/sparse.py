@@ -35,7 +35,6 @@ from .operator import (
     CSR_MAX_NODES,
     GridOperator,
     StateVector,
-    _sparse,
     initial_state,
     interpolate,
 )
@@ -318,8 +317,8 @@ def combine(
     ``CSR_MAX_NODES`` nodes are solved together through one
     ``GridOperator`` per batch, every larger grid alone, and each
     component's price is bitwise what it is alone.  Workers are forked,
-    so they see the engine exactly as this process does, ``scipy.sparse``
-    included, which is loaded before the fork.  A batch that fails is
+    so they see the engine exactly as this process does, its compiled
+    routines already loaded at import.  A batch that fails is
     solved again one component at a time, so the first component to fail
     in plan order raises ``ComponentSolveError``; that cancels the
     batches not yet started.  The reduction happens in plan order, so the
@@ -332,8 +331,6 @@ def combine(
     started = time.perf_counter()
     cpus = os.cpu_count() or 1
     workers = min(threads or cpus, cpus, len(plan))
-    if min(points) <= CSR_MAX_NODES:
-        _sparse()  # once, here, so that forked workers do not each import it
     batches = _batches(points, plan.dims, workers)
     jobs = [
         ([plan.terms[k] for k in batch], [points[k] for k in batch], market, product, domain, config)

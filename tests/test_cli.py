@@ -414,11 +414,19 @@ class TestMain:
         assert "found in sys.modules" not in proc.stderr
 
     def test_import_leaves_test_oracles_out(self):
+        # one step of a small sparse plan, solved in this process, and of a
+        # full grid over CSR_MAX_NODES (129^2 nodes) reach every compiled
+        # routine, yet load neither scipy subpackage
+        sparse = SPARSE_CAPLET.replace("steps = 4", "steps = 1\nthreads = 1")
+        full = MINIMAL_CAPLET.replace("levels = 4", "levels = 7").replace("steps = 4", "steps = 1")
         code = (
             "import importlib.util, sys\n"
             "import ratespde\n"
             f"ratespde.parse_config({MINIMAL_CAPLET!r})\n"
-            "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse was imported'\n"
+            f"ratespde.run(ratespde.parse_config({sparse!r}), quiet=True)\n"
+            f"ratespde.run(ratespde.parse_config({full!r}), quiet=True)\n"
+            "for name in ('scipy.linalg', 'scipy.sparse'):\n"
+            "    assert name not in sys.modules, f'{name} was imported'\n"
             "assert importlib.util.find_spec('ratespde.reference') is None\n"
         )
         proc = _python("-c", code)

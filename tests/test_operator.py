@@ -1,9 +1,12 @@
 import dataclasses
 import hashlib
 import math
+import types
 
 import numpy as np
 import pytest
+import scipy.sparse
+from scipy.linalg import lapack
 
 import ratespde.operator as operator_mod
 from ratespde import (
@@ -490,6 +493,118 @@ class TestBlockOperator:
         bad[first.total_points + np.flatnonzero(~second.inner_mask())[-1]] = 1.0
         with pytest.raises(ValueError, match="frozen"):
             block.solve_directional(1, 0.1, bad)
+
+
+class TestCompiledRoutines:
+    """``dpttrf``, ``dpttrs`` and ``csr_matvec`` as the operator binds them,
+    against scipy's own wrappers."""
+
+    @staticmethod
+    def chain(lines, seed=3):
+        """Row scales and line ends of a chain of lines of 1 to 4 rows."""
+        sizes = np.random.default_rng(seed).integers(1, 5, size=lines)
+        ends = np.zeros(int(sizes.sum()), dtype=bool)
+        ends[np.cumsum(sizes) - 1] = True
+        return np.random.default_rng(seed + 1).uniform(0.5, 4.0, ends.size), ends
+
+    # 40 lines of 1 to 4 rows, zero couplings between them, with one and
+    # with seven right-hand sides; a chain of one line of two rows
+    @pytest.mark.parametrize("lines, columns", [(40, 1), (40, 7), (0, 3)])
+    def test_bitwise_equal_to_scipy(self, lines, columns):
+        r, ends = self.chain(lines) if lines else (np.array([1.5, 0.8]), np.array([False, True]))
+        w = 0.37
+        d, e = operator_mod._factor(r, ends, w)
+        d0 = r + 2.0 * w
+        d0[ends] = r[ends] + w
+        e0 = np.where(ends[:-1], 0.0, -w)
+        assert (e0 == 0.0).any() == (lines > 0)
+        d1, e1, info = lapack.dpttrf(d0, e0)
+        assert info == 0
+        assert np.array_equal(d, d1) and np.array_equal(e, e1)
+        b = np.asfortranarray(np.random.default_rng(5).normal(size=(r.size, columns)))
+        x1, info = lapack.dpttrs(d1, e1, b)
+        assert info == 0
+        operator_mod._pttrs(d, e, b)
+        assert b.flags.f_contiguous and np.array_equal(b, x1)
+        x = b[:, 0].copy()
+        operator_mod._pttrs(d, e, x)
+        assert np.array_equal(x, lapack.dpttrs(d1, e1, b[:, 0])[0])
+
+    def test_bad_arguments_rejected_before_lapack(self, monkeypatch):
+        def called(*args):
+            raise AssertionError("LAPACK was called")
+
+        monkeypatch.setattr(operator_mod, "_dpttrs", called)
+        monkeypatch.setattr(operator_mod, "_dpttrf", called)
+        d, e, b = np.full(4, 3.0), np.full(3, -1.0), np.ones((4, 2), order="F")
+        frozen = np.ones(4)
+        frozen.flags.writeable = False
+        big = 2**31  # broadcast views: sizes past a C int without the memory
+        bad = {
+            "float64": [(d.astype(np.float32), e, b), (d, e.astype(np.float32), b),
+                        (d, e, b.astype(np.float32, order="F"))],
+            "couplings": [(d, e[:2], b), (d[:3], e, b[:3])],
+            "shape": [(d, e, b[:3]), (d, e, np.ones(()))],
+            "32-bit": [(np.broadcast_to(3.0, big), np.broadcast_to(-1.0, big - 1), np.broadcast_to(1.0, big)),
+                       (d, e, np.broadcast_to(1.0, (4, big)))],
+            "contiguous": [(np.full(8, 3.0)[::2], e, b), (d, np.full(6, -1.0)[::2], b),
+                           (d, e, np.ones((4, 2))), (d, e, np.ones((4, 4), order="F")[:, ::2])],
+            "writable": [(d, e, frozen)],
+        }
+        for match, cases in bad.items():
+            for args in cases:
+                with pytest.raises(ValueError, match=match):
+                    operator_mod._pttrs(*args)
+        with pytest.raises(ValueError, match="float64"):
+            operator_mod._factor(np.ones(4, dtype=np.float32), np.arange(4) == 3, 0.5)
+
+    def test_indefinite_chain_raises(self):
+        with pytest.raises(FloatingPointError, match="info=2"):
+            operator_mod._factor(np.array([1.0, -1.0]), np.array([False, True]), 0.0)
+
+    def test_csr_product_equal_to_scipy(self):
+        op, *_ = make_operator((6, 5))
+        indptr, columns, values = op._matrix
+        matrix = scipy.sparse.csr_array((values, columns, indptr), shape=(op.size, op.size))
+        y = rng().normal(size=op.size)
+        assert np.array_equal(op.apply(y), matrix @ y)
+        assert np.array_equal(op.apply(y[::-1]), matrix @ y[::-1])  # a strided input
+
+    def test_bad_csr_arrays_rejected(self):
+        op, *_ = make_operator((6, 5))
+        indptr, columns, values = op._matrix
+        size = op.size
+        assert all(x is y for x, y in zip(operator_mod._csr(values, columns, indptr, size), op._matrix))
+        shifted = indptr.copy()
+        shifted[0] = 1
+        falling = indptr.copy()
+        falling[10], falling[11] = falling[11], falling[10]
+        assert falling[10] > falling[11]
+        for col in (-1, size):
+            wrong = columns.copy()
+            wrong[7] = col
+            with pytest.raises(ValueError, match="column"):
+                operator_mod._csr(values, wrong, indptr, size)
+        for args in ((values, columns, indptr[:-1], size), (values, columns, shifted, size),
+                     (values[:-1], columns[:-1], indptr, size), (values, columns[:-1], indptr, size)):
+            with pytest.raises(ValueError, match="frame"):
+                operator_mod._csr(*args)
+        with pytest.raises(ValueError, match="decrease"):
+            operator_mod._csr(values, columns, falling, size)
+
+    def test_capsule_signature_checked(self):
+        assert operator_mod._routine("dpttrf", "void (int *, d *, d *, int *)")
+        for wrong in ("void (int *, d *, d *)", "void (long *, d *, d *, int *)"):
+            with pytest.raises(ImportError, match="dpttrf"):
+                operator_mod._routine("dpttrf", wrong)
+
+    def test_loader_falls_back_to_a_normal_import(self, monkeypatch):
+        from scipy.linalg import cython_lapack
+        from scipy.sparse import _sparsetools
+
+        monkeypatch.setattr(operator_mod, "PathFinder", types.SimpleNamespace(find_spec=lambda *a: None))
+        assert operator_mod._extension("linalg", "cython_lapack") is cython_lapack
+        assert operator_mod._extension("sparse", "_sparsetools") is _sparsetools
 
 
 class TestCoefficientGuard:
