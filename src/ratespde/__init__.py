@@ -38,7 +38,6 @@ from .sparse import (
     full_plan,
     modified_plan,
     shape_for_levels,
-    solve_component_grid,
     solve_component_grids,
     standard_plan,
 )

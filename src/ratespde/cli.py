@@ -284,6 +284,10 @@ def _build_solver_output(
             raise ConfigError(
                 "reference 'black' is only valid for caplets with sigma = 0", ref_raw[1]
             )
+        try:  # the price must exist, not only the product
+            black_caplet_price(market, product.expiry_index)
+        except ValueError as err:
+            raise ConfigError(str(err), ref_raw[1]) from None
         reference = "black"
     else:
         reference = _parse_scalar(ref_raw, float, "'black', 'none' or a number")
@@ -479,7 +483,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"argument --threads: must be at least 1, got {args.threads}")
 
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open(args.config, "r", encoding="utf-8-sig") as fh:  # a byte-order mark is dropped
             text = fh.read()
     except OSError as err:
         print(f"error: cannot read {args.config}: {err}", file=sys.stderr)

@@ -30,8 +30,8 @@ the CSR product ``csr_matvec``, come from scipy's extension modules
 ``scipy.linalg.cython_lapack`` and ``scipy.sparse._sparsetools``, loaded
 from their files so that neither package's ``__init__`` runs (see
 ``_extension``).  The LAPACK routines are called through ``ctypes``,
-which releases the interpreter lock, so every argument is checked here
-first.
+which releases the interpreter lock, so every argument is checked here,
+once, when a chain is factored (see ``_Chain``).
 """
 
 from __future__ import annotations
@@ -126,7 +126,8 @@ class GridOperator:
         # per diffusive direction i: the row scales and line ends of its
         # chain, and where the chain's rows are (see solve_directional)
         self._lines: dict[int, tuple] = {}
-        self._factors: dict[tuple[int, float], tuple] = {}  # factor per valid (i, w)
+        # per valid (i, w) its factored chain, False where nothing is solved
+        self._factors: dict[tuple[int, float], _Chain | bool] = {}
         self._matrix = None  # the small grids' CSR arrays (indptr, columns, values)
         pieces, start = [], 0  # each small grid's part (see _assemble), its first node
         for shape in shapes:  # each grid's discretisation is let go before the next
@@ -247,12 +248,12 @@ class GridOperator:
         # the slab's inner nodes, or nothing when every term vanishes
         self._result = acc[(slice(None),) + (slice(1, -1),) * (n - 1)] if steps else 0.0
         # per diffusive direction, its distinct lines (see __init__) and their
-        # right-hand sides in the work array, in chain order and Fortran-ordered
+        # right-hand sides in the work array, in chain order
         for i, (order, r) in lines.items():
             b = scratch[: shape.interior_points].reshape([rev[a] - 1 for a in order])
             m = r.shape[-1]  # a line's rows; every line ends alike, so hold one line's ends
             ends = np.broadcast_to(np.arange(m) == m - 1, r.shape)
-            self._lines[i] = (r, ends, (order, b, b.reshape(-1, r.size).T))
+            self._lines[i] = (r, ends, (order, b))
 
     # -- operator application --------------------------------------------
 
@@ -277,43 +278,45 @@ class GridOperator:
         """Solve (I - w*A_i) K = g, one tridiagonal system per line.
 
         Frozen rows are identities, so K = g there.  Each call copies g,
-        scales the interior rows of the direction-i chain, makes one
-        ``dpttrs`` solve from the factor built once per (i, w), and writes
-        the solution back.  Small grids gather the rows of every line of
-        every grid, chained with zero couplings, and scatter the solution
-        back; a zero coupling leaves each line's arithmetic unchanged, so
-        a grid's values are bitwise the same alone and in any batch.  A
-        large grid chains only its distinct lines, as lines with equal
-        coefficients share one factor: direction N has a single distinct
-        line, a direction i < N one per V row.  It scales them into
-        Fortran-ordered right-hand sides whose columns are the repeats of
-        the chain.
+        scales the interior rows of the direction-i chain into the
+        right-hand sides of its ``_Chain``, factored, checked and bound
+        once per (i, w), makes one ``dpttrs`` solve and writes the solution
+        back.  Small grids gather the rows of every line of every grid,
+        chained with zero couplings, and scatter the solution back; a zero
+        coupling leaves each line's arithmetic unchanged, so a grid's
+        values are bitwise the same alone and in any batch.  A large grid
+        chains only its distinct lines, as lines with equal coefficients
+        share one factor: direction N has a single distinct line, a
+        direction i < N one per V row.  It scales them into Fortran-ordered
+        right-hand sides whose columns are the repeats of the chain.
         """
         g = _vector(g, self.size)
         if self.check_rhs and np.any(g[~np.concatenate([s.inner_mask() for s in self.shapes])]):
             raise ValueError("right-hand side must vanish on frozen (outer) rows")
-        factor = self._factors.get((i, w))
-        if factor is None:  # only a valid (i, w) is ever cached
+        chain = self._factors.get((i, w))
+        if chain is None:  # only a valid (i, w) is ever cached
             _check_solve(self.n_directions, i, w)
-            factor = ()
+            chain = False
             if w != 0.0 and i in self._lines:
-                r, ends, _ = self._lines[i]
-                factor = _factor(r.reshape(-1), ends.reshape(-1), w)
-            self._factors[(i, w)] = factor
+                r, ends, at = self._lines[i]
+                # a small grid's chain owns its right-hand side; a large
+                # grid's is the Fortran view of its buffer in the work array
+                b = np.empty(r.size) if self._matrix is not None else at[1].reshape(-1, r.size).T
+                chain = _Chain(r.reshape(-1), ends.reshape(-1), w, b)
+            self._factors[(i, w)] = chain
         out = g.copy()
-        if not factor:
+        if not chain:
             return out
         r, _, at = self._lines[i]
         if self._matrix is not None:  # ``at`` indexes the chained rows
-            x = out[at]
-            x *= r
-            _pttrs(*factor, x)
-            out[at] = x
+            np.multiply(out[at], r, chain.b)
+            chain.solve()
+            out[at] = chain.b
         else:  # ``at`` is the axis order and the right-hand sides
-            order, b, bt = at
+            order, b = at
             lines = out.reshape(self._rev)[self._interior].transpose(order)
             np.multiply(lines, r, b)
-            _pttrs(*factor, bt)
+            chain.solve()
             lines[...] = b
         return out
 
@@ -456,71 +459,64 @@ def _check_solve(n: int, i: int, w: float) -> None:
         raise ValueError("directional solve needs a finite nonnegative shift")
 
 
-def _sizes(d: np.ndarray, e: np.ndarray, b: np.ndarray) -> tuple[ctypes.c_int, ctypes.c_int]:
-    """The rows n and right-hand sides nrhs of a LAPACK call, as C ints.
-
-    The routines trust their pointers, so this checks what scipy's
-    wrapper checked: float64 arrays, ``e`` one shorter than ``d``, one row
-    of ``b`` per row of ``d``, sizes that fit a C int, ``d`` and ``e``
-    contiguous and ``b``, which the routine overwrites, writable and
-    Fortran-contiguous.  A factorisation passes ``d``, which it
-    overwrites, as ``b``.
-    """
-    if not d.dtype == e.dtype == b.dtype == np.float64:
-        raise ValueError("a tridiagonal system needs float64 arrays")
-    if e.size != d.size - 1 or b.shape[:1] != (d.size,):
-        raise ValueError(
-            f"a tridiagonal system of {d.size} rows has {e.size} couplings "
-            f"and right-hand sides of shape {b.shape}"
-        )
-    n, nrhs = d.size, b.size // d.size
-    if max(n, nrhs) > _INT_MAX:
-        raise ValueError(f"{n} rows and {nrhs} right-hand sides exceed LAPACK's 32-bit sizes")
-    if not (d.flags.c_contiguous and e.flags.c_contiguous and b.flags.f_contiguous):
-        raise ValueError("a tridiagonal system needs contiguous arrays, Fortran-ordered right-hand sides")
-    if not b.flags.writeable:
-        raise ValueError("the right-hand sides of a tridiagonal solve must be writable")
-    return ctypes.c_int(n), ctypes.c_int(nrhs)
-
-
-def _factor(r: np.ndarray, ends: np.ndarray, w: float) -> tuple[np.ndarray, np.ndarray]:
-    """The factor (d, e) of chained lines of I - w*A_i, rows scaled by r.
+class _Chain:
+    """Chained lines of I - w*A_i, rows scaled by r, factored once and
+    bound to the Fortran-ordered right-hand sides ``b``.
 
     ``ends`` marks the last row of each line, its Neumann row.  Row j,
     (1 + 2wd_j) x_j - wd_j (x_{j-1} + x_{j+1}), times r_j = 1/d_j has
     diagonal r_j + 2w and off-diagonals -w; the Neumann row (-2wd_M on its
-    lower neighbour) times r_M = 1/(2d_M) has diagonal r_M + w.  A chain
-    of one row is its own factor.
+    lower neighbour) times r_M = 1/(2d_M) has diagonal r_M + w.  Rows of
+    different lines couple with zero.
+
+    ``dpttrf`` and ``dpttrs`` trust their pointers, so the constructor
+    checks once what scipy's wrappers checked on every call: float64
+    ``r`` and ``b``, one row of ``b`` per row, sizes that fit a C int, and
+    ``b``, which every solve overwrites, writable and Fortran-contiguous.
+    The chain keeps ``d``, ``e`` and ``b``, whose addresses it passes.
     """
-    d = r + 2.0 * w
-    d[ends] = r[ends] + w
-    e = np.full(r.size - 1, -w)
-    e[ends[:-1]] = 0.0  # a row couples to its neighbours on the same line only
-    n, _ = _sizes(d, e, d)
-    if r.size > 1:
-        info = ctypes.c_int()
-        _dpttrf(n, d.ctypes.data, e.ctypes.data, info)
-        if info.value != 0:
-            raise FloatingPointError(f"tridiagonal factorisation failed (info={info.value})")
-    if not (np.isfinite(d).all() and np.isfinite(e).all()):
-        raise FloatingPointError("non-finite tridiagonal factor")
-    return d, e
 
+    def __init__(self, r: np.ndarray, ends: np.ndarray, w: float, b: np.ndarray):
+        if not r.dtype == b.dtype == np.float64:
+            raise ValueError("a tridiagonal system needs float64 arrays")
+        n = r.size
+        if b.shape[:1] != (n,):
+            raise ValueError(f"a chain of {n} rows has right-hand sides of shape {b.shape}")
+        nrhs = b.size // n
+        if max(n, nrhs) > _INT_MAX:
+            raise ValueError(f"{n} rows and {nrhs} right-hand sides exceed LAPACK's 32-bit sizes")
+        if not b.flags.f_contiguous:
+            raise ValueError("a tridiagonal system needs contiguous, Fortran-ordered right-hand sides")
+        if not b.flags.writeable:
+            raise ValueError("the right-hand sides of a tridiagonal solve must be writable")
+        self.d = d = r + 2.0 * w
+        d[ends] = r[ends] + w
+        self.e = e = np.full(n - 1, -w)
+        e[ends[:-1]] = 0.0  # a row couples to its neighbours on the same line only
+        self.b = b
+        self._info = info = ctypes.c_int()
+        # a chain of one row is its own factor and is divided in numpy, as
+        # ``dpttrs`` divides each row of a longer chain (it would multiply
+        # this one by 1/d), so a row's bits do not depend on its chain
+        self._args = None
+        if n > 1:
+            rows = ctypes.c_int(n)
+            _dpttrf(rows, d.ctypes.data, e.ctypes.data, info)
+            if info.value != 0:
+                raise FloatingPointError(f"tridiagonal factorisation failed (info={info.value})")
+            self._args = (rows, ctypes.c_int(nrhs), d.ctypes.data, e.ctypes.data, b.ctypes.data,
+                          rows, info)
+        if not (np.isfinite(d).all() and np.isfinite(e).all()):
+            raise FloatingPointError("non-finite tridiagonal factor")
 
-def _pttrs(d: np.ndarray, e: np.ndarray, b: np.ndarray) -> None:
-    """Overwrite the Fortran-ordered right-hand sides b with the solution.
-
-    A chain of one row is divided here, as ``dpttrs`` divides each row of
-    a longer chain (it would multiply this one by 1/d).
-    """
-    n, nrhs = _sizes(d, e, b)
-    if d.size == 1:
-        b /= d
-        return
-    info = ctypes.c_int()
-    _dpttrs(n, nrhs, d.ctypes.data, e.ctypes.data, b.ctypes.data, n, info)
-    if info.value != 0:
-        raise FloatingPointError(f"tridiagonal solve failed (info={info.value})")
+    def solve(self) -> None:
+        """Overwrite ``b`` with the solution."""
+        if self._args is None:
+            self.b /= self.d
+            return
+        _dpttrs(*self._args)
+        if self._info.value != 0:
+            raise FloatingPointError(f"tridiagonal solve failed (info={self._info.value})")
 
 
 def initial_state(market: MarketData, product: ProductSpec, shape: GridShape) -> StateVector:

@@ -192,17 +192,6 @@ def solve_component_grids(
     return values
 
 
-def solve_component_grid(
-    levels: tuple[int, ...],
-    market: MarketData,
-    product: ProductSpec,
-    domain: DomainSpec,
-    config: AmfrW2Config,
-) -> float:
-    """Price from one full anisotropic grid, in basis points (see ``solve_component_grids``)."""
-    return solve_component_grids([levels], market, product, domain, config)[0]
-
-
 @dataclass(frozen=True)
 class ComponentResult:
     """One component's price.  ``seconds`` is its node share of the wall

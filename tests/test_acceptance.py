@@ -33,7 +33,7 @@ from ratespde import (
     initial_state,
     integrate,
     modified_plan,
-    solve_component_grid,
+    solve_component_grids,
     standard_plan,
 )
 
@@ -216,9 +216,9 @@ def test_criterion_4_modified_sparse_caplet(flat_market):
 
 def test_criterion_5_stochastic_vol_caplet(sv_market):
     domain = caplet_domain(sv_market)
-    value = solve_component_grid(
-        (9, 9), sv_market, CAPLET, domain, AmfrW2Config(num_steps=256)
-    )
+    value = solve_component_grids(
+        [(9, 9)], sv_market, CAPLET, domain, AmfrW2Config(num_steps=256)
+    )[0]
     gap = abs(value - SV_CAPLET_LEVEL9)
     check(
         "criterion 5 (stochastic-vol caplet, level 9, 256 steps)",
@@ -235,9 +235,9 @@ def _swaption_lambda_calibration() -> dict[float, float]:
     for lam in (0.05, 0.1, 0.2):
         market = make_market(sigma=0.3, phi=0.4, lam=lam)
         domain = DomainSpec.for_product(market, SWAPTION_05X1, 0.04, 3.5)
-        values[lam] = solve_component_grid(
-            (6, 6, 6), market, SWAPTION_05X1, domain, AmfrW2Config(num_steps=32)
-        )
+        values[lam] = solve_component_grids(
+            [(6, 6, 6)], market, SWAPTION_05X1, domain, AmfrW2Config(num_steps=32)
+        )[0]
     return values
 
 
@@ -262,7 +262,7 @@ def test_criterion_6b_swaption_full_vs_sparse():
     market = make_market(sigma=0.3, phi=0.4, lam=best)
     domain = DomainSpec.for_product(market, SWAPTION_05X1, 0.04, 3.5)
     cfg = AmfrW2Config(num_steps=16)
-    full = solve_component_grid((8, 8, 8), market, SWAPTION_05X1, domain, cfg)
+    full = solve_component_grids([(8, 8, 8)], market, SWAPTION_05X1, domain, cfg)[0]
     sparse = combine(
         standard_plan(14, 3), market, SWAPTION_05X1, domain, cfg, threads=2
     ).value_bps

@@ -17,7 +17,7 @@ from ratespde import (
     parse_config,
     run,
     serialize_config,
-    solve_component_grid,
+    solve_component_grids,
     standard_plan,
 )
 from ratespde.cli import main
@@ -49,6 +49,9 @@ steps = 4
 SPARSE_CAPLET = MINIMAL_CAPLET.replace("technique = full", "technique = sparse").replace(
     "levels = 4", "levels = 5"
 )
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _python(*args: str) -> subprocess.CompletedProcess:
@@ -212,9 +215,9 @@ class TestRun:
         rows = run(cfg, quiet=True)
         assert len(rows) == 1
         row = rows[0]
-        direct = solve_component_grid(
-            (4, 4), cfg.market, cfg.product, cfg.domain, AmfrW2Config(num_steps=4)
-        )
+        direct = solve_component_grids(
+            [(4, 4)], cfg.market, cfg.product, cfg.domain, AmfrW2Config(num_steps=4)
+        )[0]
         assert row.solution_bps == direct
         assert row.grid_points == 17**2
         reference = black_caplet_price(cfg.market, 1)
@@ -227,9 +230,9 @@ class TestRun:
         monkeypatch.setattr(sparse_mod, "ProcessPoolExecutor", no_pool)
         cfg = parse_config(MINIMAL_CAPLET + "threads = 2\n")
         rows = run(cfg, quiet=True)
-        direct = solve_component_grid(
-            (4, 4), cfg.market, cfg.product, cfg.domain, AmfrW2Config(num_steps=4)
-        )
+        direct = solve_component_grids(
+            [(4, 4)], cfg.market, cfg.product, cfg.domain, AmfrW2Config(num_steps=4)
+        )[0]
         assert rows[0].solution_bps == direct
 
     def test_sparse_rows_report_union_points(self):
@@ -403,10 +406,23 @@ class TestMain:
 
     def test_unusable_reference_fails_cleanly(self, tmp_path, capsys):
         config = tmp_path / "run.txt"
-        text = MINIMAL_CAPLET.replace("alphas = 0.0, 0.2366", "alphas = 0.0, 0.0")
-        config.write_text(text + "\n[output]\nreference = black\n")
-        assert main([str(config)]) == 1
-        assert "volatility" in capsys.readouterr().err
+        for old, new, cause in [("alphas = 0.0, 0.2366", "alphas = 0.0, 0.0", "positive volatility"),
+                                ("strike = 0.011", "strike = 0.0", "positive forward and strike")]:
+            text = MINIMAL_CAPLET.replace(old, new) + "\n[output]\nreference = black\n"
+            config.write_text(text)
+            assert main([str(config)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"line {len(text.splitlines())}: Black formula needs {cause}" in captured.err
+
+    def test_config_with_byte_order_mark_runs(self, tmp_path, capsys):
+        text = (CONFIGS / "caplet_full.txt").read_text(encoding="utf-8")
+        text = text.replace("levels = 6, 7, 8, 9", "levels = 4").replace("steps = 16", "steps = 4")
+        config = tmp_path / "run.txt"
+        config.write_text(text, encoding="utf-8-sig")
+        assert config.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert main([str(config), "--csv", str(tmp_path / "out.csv"), "--quiet"]) == 0
+        assert (tmp_path / "out.csv").exists()
 
     def test_module_entry_point_runs_without_warning(self):
         proc = _python("-W", "error::RuntimeWarning", "-m", "ratespde.cli", "--help")

@@ -42,15 +42,15 @@ def make_operator(shape_counts, *, sigma=0.3, phi=0.4, beta=1.0, n_forwards=None
 
 
 def record_factors(monkeypatch):
-    """The shift of every tridiagonal factor built from now on, in order."""
+    """The shift of every tridiagonal chain factored from now on, in order."""
     shifts = []
-    build = operator_mod._factor
+    build = operator_mod._Chain
 
-    def recorded(r, ends, w):
+    def recorded(r, ends, w, b):
         shifts.append(w)
-        return build(r, ends, w)
+        return build(r, ends, w, b)
 
-    monkeypatch.setattr(operator_mod, "_factor", recorded)
+    monkeypatch.setattr(operator_mod, "_Chain", recorded)
     return shifts
 
 
@@ -496,8 +496,8 @@ class TestBlockOperator:
 
 
 class TestCompiledRoutines:
-    """``dpttrf``, ``dpttrs`` and ``csr_matvec`` as the operator binds them,
-    against scipy's own wrappers."""
+    """``dpttrf`` and ``dpttrs`` as a ``_Chain`` binds them, and
+    ``csr_matvec`` as the operator calls it, against scipy's own wrappers."""
 
     @staticmethod
     def chain(lines, seed=3):
@@ -513,54 +513,64 @@ class TestCompiledRoutines:
     def test_bitwise_equal_to_scipy(self, lines, columns):
         r, ends = self.chain(lines) if lines else (np.array([1.5, 0.8]), np.array([False, True]))
         w = 0.37
-        d, e = operator_mod._factor(r, ends, w)
+        b = np.asfortranarray(np.random.default_rng(5).normal(size=(r.size, columns)))
         d0 = r + 2.0 * w
         d0[ends] = r[ends] + w
         e0 = np.where(ends[:-1], 0.0, -w)
         assert (e0 == 0.0).any() == (lines > 0)
         d1, e1, info = lapack.dpttrf(d0, e0)
         assert info == 0
-        assert np.array_equal(d, d1) and np.array_equal(e, e1)
-        b = np.asfortranarray(np.random.default_rng(5).normal(size=(r.size, columns)))
         x1, info = lapack.dpttrs(d1, e1, b)
         assert info == 0
-        operator_mod._pttrs(d, e, b)
+        chain = operator_mod._Chain(r, ends, w, b)
+        assert chain.b is b
+        assert np.array_equal(chain.d, d1) and np.array_equal(chain.e, e1)
+        chain.solve()
         assert b.flags.f_contiguous and np.array_equal(b, x1)
         x = b[:, 0].copy()
-        operator_mod._pttrs(d, e, x)
+        operator_mod._Chain(r, ends, w, x).solve()
         assert np.array_equal(x, lapack.dpttrs(d1, e1, b[:, 0])[0])
 
-    def test_bad_arguments_rejected_before_lapack(self, monkeypatch):
+    @staticmethod
+    def forbid_lapack(monkeypatch):
         def called(*args):
             raise AssertionError("LAPACK was called")
 
         monkeypatch.setattr(operator_mod, "_dpttrs", called)
         monkeypatch.setattr(operator_mod, "_dpttrf", called)
-        d, e, b = np.full(4, 3.0), np.full(3, -1.0), np.ones((4, 2), order="F")
+
+    def test_bad_arguments_rejected_before_lapack(self, monkeypatch):
+        self.forbid_lapack(monkeypatch)
+        r, ends, b = np.full(4, 3.0), np.arange(4) == 3, np.ones((4, 2), order="F")
         frozen = np.ones(4)
         frozen.flags.writeable = False
         big = 2**31  # broadcast views: sizes past a C int without the memory
         bad = {
-            "float64": [(d.astype(np.float32), e, b), (d, e.astype(np.float32), b),
-                        (d, e, b.astype(np.float32, order="F"))],
-            "couplings": [(d, e[:2], b), (d[:3], e, b[:3])],
-            "shape": [(d, e, b[:3]), (d, e, np.ones(()))],
-            "32-bit": [(np.broadcast_to(3.0, big), np.broadcast_to(-1.0, big - 1), np.broadcast_to(1.0, big)),
-                       (d, e, np.broadcast_to(1.0, (4, big)))],
-            "contiguous": [(np.full(8, 3.0)[::2], e, b), (d, np.full(6, -1.0)[::2], b),
-                           (d, e, np.ones((4, 2))), (d, e, np.ones((4, 4), order="F")[:, ::2])],
-            "writable": [(d, e, frozen)],
+            "float64": [(r.astype(np.float32), b), (r, b.astype(np.float32, order="F"))],
+            "shape": [(r, b[:3]), (r, np.ones(()))],
+            "32-bit": [(np.broadcast_to(3.0, big), np.broadcast_to(1.0, big)),
+                       (r, np.broadcast_to(1.0, (4, big)))],
+            "contiguous": [(r, np.ones((4, 2))), (r, np.ones((4, 4), order="F")[:, ::2])],
+            "writable": [(r, frozen)],
         }
         for match, cases in bad.items():
-            for args in cases:
+            for r_, b_ in cases:
                 with pytest.raises(ValueError, match=match):
-                    operator_mod._pttrs(*args)
-        with pytest.raises(ValueError, match="float64"):
-            operator_mod._factor(np.ones(4, dtype=np.float32), np.arange(4) == 3, 0.5)
+                    operator_mod._Chain(r_, ends, 0.5, b_)
 
     def test_indefinite_chain_raises(self):
         with pytest.raises(FloatingPointError, match="info=2"):
-            operator_mod._factor(np.array([1.0, -1.0]), np.array([False, True]), 0.0)
+            operator_mod._Chain(np.array([1.0, -1.0]), np.array([False, True]), 0.0, np.ones(2))
+
+    @pytest.mark.parametrize("shape", [(1,), (1, 3)])
+    def test_one_row_chain_divides(self, monkeypatch, shape):
+        self.forbid_lapack(monkeypatch)
+        r, w = np.array([0.8]), 0.37
+        b = np.asfortranarray(np.random.default_rng(5).normal(size=shape))
+        expected = b / (r[0] + w)
+        chain = operator_mod._Chain(r, np.array([True]), w, b)
+        chain.solve()
+        assert np.array_equal(b, expected)
 
     def test_csr_product_equal_to_scipy(self):
         op, *_ = make_operator((6, 5))

@@ -20,7 +20,7 @@ from ratespde import (
     full_plan,
     modified_plan,
     shape_for_levels,
-    solve_component_grid,
+    solve_component_grids,
     standard_plan,
 )
 
@@ -171,15 +171,15 @@ class TestCountPoints:
 class TestComponentSolve:
     def test_full_grid_equals_isotropic_component(self, market_flat, caplet, caplet_domain):
         cfg = AmfrW2Config(num_steps=4)
-        value = solve_component_grid((5, 5), market_flat, caplet, caplet_domain, cfg)
-        again = solve_component_grid((5, 5), market_flat, caplet, caplet_domain, cfg)
+        value = solve_component_grids([(5, 5)], market_flat, caplet, caplet_domain, cfg)[0]
+        again = solve_component_grids([(5, 5)], market_flat, caplet, caplet_domain, cfg)[0]
         assert value == again  # bitwise deterministic
 
     def test_degenerate_direction_runs(self, market_sv, caplet):
         domain = DomainSpec.for_product(market_sv, caplet, 0.04, 3.5)
         cfg = AmfrW2Config(num_steps=2)
         for levels in [(0, 3), (3, 0), (0, 0)]:
-            value = solve_component_grid(levels, market_sv, caplet, domain, cfg)
+            value = solve_component_grids([levels], market_sv, caplet, domain, cfg)[0]
             assert math.isfinite(value)
 
     def test_admission_control(self, market_flat, caplet, caplet_domain):
@@ -191,7 +191,7 @@ class TestComponentSolve:
     def test_level_vector_length_checked(self, market_flat, caplet, caplet_domain):
         cfg = AmfrW2Config(num_steps=2)
         with pytest.raises(ValueError):
-            solve_component_grid((3, 3, 3), market_flat, caplet, caplet_domain, cfg)
+            solve_component_grids([(3, 3, 3)], market_flat, caplet, caplet_domain, cfg)[0]
 
     def test_zero_dynamics_price_is_discounted_interpolated_payoff(self, caplet):
         dead = make_market(sigma=0.0)
@@ -211,7 +211,7 @@ class TestComponentSolve:
         shape = shape_for_levels((4, 2), caplet, domain)
         frozen = initial_state(dead, caplet, shape)
         expected = 1e4 * dead.discount_factor(2) * interpolate(frozen, domain.eval_point)
-        got = solve_component_grid((4, 2), dead, caplet, domain, AmfrW2Config(num_steps=3))
+        got = solve_component_grids([(4, 2)], dead, caplet, domain, AmfrW2Config(num_steps=3))[0]
         assert got == pytest.approx(expected, rel=1e-15)
 
 
@@ -235,7 +235,7 @@ class TestCombine:
         # meaningful; instead check that the level-n plan in 2 dims with a
         # single-layer budget reproduces the isotropic grid when d = 1 is
         # emulated by an explicit single-term plan
-        full = solve_component_grid((4, 4), market_flat, caplet, caplet_domain, cfg)
+        full = solve_component_grids([(4, 4)], market_flat, caplet, caplet_domain, cfg)[0]
         single = sparse_mod.CombinationPlan(
             "standard", 4, 2, 0, (sparse_mod.CombinationTerm((4, 4), 1),)
         )
@@ -393,7 +393,7 @@ class TestBatches:
         cfg = AmfrW2Config(num_steps=3)
         levels = [t.levels for t in standard_plan(5, 2).terms]
         assert (5, 0) in levels and (0, 5) in levels
-        alone = [solve_component_grid(l, market_sv, caplet, domain, cfg) for l in levels]
+        alone = [solve_component_grids([l], market_sv, caplet, domain, cfg)[0] for l in levels]
         for cuts in ([], [4], [3, 7]):
             values = []
             for lo, hi in zip([0] + cuts, cuts + [len(levels)]):
@@ -411,7 +411,7 @@ class TestBatches:
         cfg = AmfrW2Config(num_steps=steps)
         levels = [t.levels for t in standard_plan(dims - 1, dims).terms]
         assert (0,) * dims in levels
-        alone = [solve_component_grid(l, market_sv, product, domain, cfg) for l in levels]
+        alone = [solve_component_grids([l], market_sv, product, domain, cfg)[0] for l in levels]
         for k in range(3):  # 1, 2 and 3 batches
             for cuts in itertools.combinations(range(1, len(levels)), k):
                 values = []
