@@ -97,7 +97,8 @@ class GridOperator:
     before it.  A larger grid compiles its terms into one flat program
     (see ``_compile``) and is never batched.  Both methods return a new
     array; an instance must not serve concurrent calls, because every
-    call works in arrays the instance owns.
+    call works in arrays the instance owns, nor be copied or pickled, as
+    its arrays alias one another and its chains hold their addresses.
     """
 
     def __init__(
@@ -123,8 +124,8 @@ class GridOperator:
         self.n_directions = n = product.dimension
         self.size = sum(s.total_points for s in shapes)
         self.check_rhs = check_rhs
-        # per diffusive direction i: the row scales and line ends of its
-        # chain, and where the chain's rows are (see solve_directional)
+        # per diffusive direction i: its chain's row scales, line ends, rows
+        # (see solve_directional) and right-hand sides
         self._lines: dict[int, tuple] = {}
         # per valid (i, w) its factored chain, False where nothing is solved
         self._factors: dict[tuple[int, float], _Chain | bool] = {}
@@ -205,7 +206,8 @@ class GridOperator:
             self._matrix = _csr(np.concatenate(values), np.concatenate(columns), indptr, self.size)
             for i in range(1, n + 1):
                 if own := [grid[i] for grid in chains if i in grid]:
-                    self._lines[i] = tuple(map(np.concatenate, zip(*own)))
+                    r, ends, rows = map(np.concatenate, zip(*own))
+                    self._lines[i] = (r, ends, rows, np.empty(r.size))
 
     def _compile(self, shape: GridShape, ext: tuple, slab: tuple, step: list, terms: list,
                  lines: dict) -> None:
@@ -253,7 +255,10 @@ class GridOperator:
             b = scratch[: shape.interior_points].reshape([rev[a] - 1 for a in order])
             m = r.shape[-1]  # a line's rows; every line ends alike, so hold one line's ends
             ends = np.broadcast_to(np.arange(m) == m - 1, r.shape)
-            self._lines[i] = (r, ends, (order, b))
+            self._lines[i] = (r, ends, (order, b), b.reshape(-1, r.size).T)  # Fortran-ordered
+
+    def __reduce__(self):
+        raise TypeError("a GridOperator cannot be copied or pickled")
 
     # -- operator application --------------------------------------------
 
@@ -298,16 +303,13 @@ class GridOperator:
             _check_solve(self.n_directions, i, w)
             chain = False
             if w != 0.0 and i in self._lines:
-                r, ends, at = self._lines[i]
-                # a small grid's chain owns its right-hand side; a large
-                # grid's is the Fortran view of its buffer in the work array
-                b = np.empty(r.size) if self._matrix is not None else at[1].reshape(-1, r.size).T
+                r, ends, _, b = self._lines[i]
                 chain = _Chain(r.reshape(-1), ends.reshape(-1), w, b)
             self._factors[(i, w)] = chain
         out = g.copy()
         if not chain:
             return out
-        r, _, at = self._lines[i]
+        r, _, at, _ = self._lines[i]
         if self._matrix is not None:  # ``at`` indexes the chained rows
             np.multiply(out[at], r, chain.b)
             chain.solve()
@@ -471,14 +473,12 @@ class _Chain:
 
     ``dpttrf`` and ``dpttrs`` trust their pointers, so the constructor
     checks once what scipy's wrappers checked on every call: float64
-    ``r`` and ``b``, one row of ``b`` per row, sizes that fit a C int, and
-    ``b``, which every solve overwrites, writable and Fortran-contiguous.
+    ``r``, ``b``, ``d`` and ``e`` (typed by ``w``), one row of ``b`` per
+    row, sizes that fit a C int, and ``b``, writable and Fortran-contiguous.
     The chain keeps ``d``, ``e`` and ``b``, whose addresses it passes.
     """
 
     def __init__(self, r: np.ndarray, ends: np.ndarray, w: float, b: np.ndarray):
-        if not r.dtype == b.dtype == np.float64:
-            raise ValueError("a tridiagonal system needs float64 arrays")
         n = r.size
         if b.shape[:1] != (n,):
             raise ValueError(f"a chain of {n} rows has right-hand sides of shape {b.shape}")
@@ -493,6 +493,8 @@ class _Chain:
         d[ends] = r[ends] + w
         self.e = e = np.full(n - 1, -w)
         e[ends[:-1]] = 0.0  # a row couples to its neighbours on the same line only
+        if not r.dtype == b.dtype == d.dtype == e.dtype == np.float64:
+            raise ValueError("a tridiagonal system needs float64 arrays and shift")
         self.b = b
         self._info = info = ctypes.c_int()
         # a chain of one row is its own factor and is divided in numpy, as

@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import hashlib
 import math
+import pickle
 import types
 
 import numpy as np
@@ -391,6 +393,15 @@ class TestDirectionalSolve:
             assert shifts == [0.2]
             assert np.array_equal(first, second)
 
+    def test_operator_refuses_copying(self):
+        # a copy would share the work arrays its chains point at
+        for counts in [(5, 4), (128, 128)]:
+            op, *_ = make_operator(counts)
+            op.solve_directional(1, 0.3, rng().normal(size=op.size) * op.shape.inner_mask())
+            for duplicate in (copy.copy, copy.deepcopy, pickle.dumps):
+                with pytest.raises(TypeError, match="copied or pickled"):
+                    duplicate(op)
+
     def test_length_checked_before_any_work(self):
         small, market, product, shape = make_operator((4, 4))
         large, *_ = make_operator((128, 128))
@@ -545,8 +556,9 @@ class TestCompiledRoutines:
         frozen = np.ones(4)
         frozen.flags.writeable = False
         big = 2**31  # broadcast views: sizes past a C int without the memory
-        bad = {
-            "float64": [(r.astype(np.float32), b), (r, b.astype(np.float32, order="F"))],
+        bad = {  # (r, b) at w = 0.5, or (r, b, w)
+            "float64": [(r.astype(np.float32), b), (r, b.astype(np.float32, order="F")),
+                        (r, b, np.float32(0.5)), (r, b, 1)],  # e takes the type of w
             "shape": [(r, b[:3]), (r, np.ones(()))],
             "32-bit": [(np.broadcast_to(3.0, big), np.broadcast_to(1.0, big)),
                        (r, np.broadcast_to(1.0, (4, big)))],
@@ -554,9 +566,9 @@ class TestCompiledRoutines:
             "writable": [(r, frozen)],
         }
         for match, cases in bad.items():
-            for r_, b_ in cases:
+            for r_, b_, *w in cases:
                 with pytest.raises(ValueError, match=match):
-                    operator_mod._Chain(r_, ends, 0.5, b_)
+                    operator_mod._Chain(r_, ends, *(w or [0.5]), b_)
 
     def test_indefinite_chain_raises(self):
         with pytest.raises(FloatingPointError, match="info=2"):
