@@ -475,7 +475,7 @@ def main(argv: list[str] | None = None) -> int:
         "--threads",
         type=int,
         metavar="K",
-        help="worker processes for component-grid solves (default: cpu count; 1 solves in-process)",
+        help="worker processes for component-grid solves (default: core count; 1 solves in-process)",
     )
     parser.add_argument("--quiet", action="store_true", help="suppress the text table")
     args = parser.parse_args(argv)

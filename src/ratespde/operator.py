@@ -25,6 +25,16 @@ always alone, is a flat program of ufunc calls on prebuilt views of one
 padded copy of the input, extended by the ghost layer, and one chain of
 its distinct lines whose repeats are the solve's columns.
 
+A large grid cuts each unit of work, ``apply``'s program and each
+directional solve, into parts, ranges of its outer axis: at least one
+per thread it may use, one per core this process may use (``_threads``),
+and parts of at most about ``_PART_NODES`` nodes, whose operands stay in
+cache.  The calling thread runs the first part, and it and the helper
+threads take the others in turn (``_run``).  Every element does the
+arithmetic it does uncut, so the outputs are bitwise the serial ones.  A
+solve's part is a block of its right-hand-side columns or, where the
+lines form one chain, a run of whole lines.
+
 The three compiled routines used, LAPACK's ``dpttrf`` and ``dpttrs`` and
 the CSR product ``csr_matvec``, come from scipy's extension modules
 ``scipy.linalg.cython_lapack`` and ``scipy.sparse._sparsetools``, loaded
@@ -37,6 +47,7 @@ once, when a chain is factored (see ``_Chain``).
 from __future__ import annotations
 
 import ctypes
+import functools
 import importlib.util
 import math
 import os
@@ -56,6 +67,72 @@ from .market import MarketData, PdeModel, ProductSpec, payoff
 # as fast and a CSR matrix (about 120 B/node in 2D, 240 in 3D) costs
 # memory and build time
 CSR_MAX_NODES = 2**14
+
+# A large grid's unit of work is cut into parts of at most about this many
+# nodes, 256 KiB per operand, so that a part's operands stay in cache
+_PART_NODES = 2**15
+
+# the processes that share this process's cores: in a ``combine`` pool's
+# workers, the pool's size (see ``_share_cores``)
+_processes = 1
+_helpers: tuple = (None, None)  # the process id that made the helper threads, and they
+
+
+def _cores() -> int:
+    """The cores this process may run on: its affinity set, where the OS keeps one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _share_cores(processes: int) -> None:
+    """Set the processes that share this process's cores; a pool worker's initializer."""
+    global _processes
+    _processes = processes
+
+
+def _threads() -> int:
+    """The threads a large grid's work may use: this process's share of the cores."""
+    return max(1, _cores() // _processes)
+
+
+def _run(tasks: list, threads: int) -> None:
+    """Call each task on this thread or one of ``threads - 1`` helper
+    threads: the first here, the others each on the next thread free.
+
+    Every task has finished when this returns or raises, as the next call
+    reuses the buffers they write.  The helpers are made on first use, and
+    again in a forked child, whose copy of its parent's has no threads.
+    """
+    global _helpers
+    threads = min(threads, len(tasks))
+    if threads > 1 and _helpers[0] != os.getpid():
+        from concurrent.futures.thread import ThreadPoolExecutor
+
+        _helpers = os.getpid(), ThreadPoolExecutor(max(1, _cores() - 1))
+    rest = iter(tasks[1:])  # one ``next`` call hands each task to one thread
+
+    def take() -> None:
+        for task in rest:
+            task()
+
+    helpers = [_helpers[1].submit(take) for _ in range(threads - 1)]
+    try:
+        tasks[0]()
+        take()
+    finally:
+        for future in helpers:
+            future.exception()  # waits
+    for future in helpers:
+        future.result()
+
+
+def _cut(rows: int, nodes: int, threads: int) -> list[int]:
+    """Bounds of near-equal ranges of ``rows`` rows holding ``nodes`` nodes
+    in all: at least one per thread and per ``_PART_NODES`` nodes, at most
+    one per row."""
+    parts = min(rows, max(threads, math.ceil(nodes / _PART_NODES)))
+    return [rows * p // parts for p in range(parts + 1)]
 
 
 @dataclass
@@ -125,7 +202,7 @@ class GridOperator:
         self.size = sum(s.total_points for s in shapes)
         self.check_rhs = check_rhs
         # per diffusive direction i: its chain's row scales, line ends, rows
-        # (see solve_directional) and right-hand sides
+        # (see solve_directional), right-hand sides and cuts into parts
         self._lines: dict[int, tuple] = {}
         # per valid (i, w) its factored chain, False where nothing is solved
         self._factors: dict[tuple[int, float], _Chain | bool] = {}
@@ -207,17 +284,20 @@ class GridOperator:
             for i in range(1, n + 1):
                 if own := [grid[i] for grid in chains if i in grid]:
                     r, ends, rows = map(np.concatenate, zip(*own))
-                    self._lines[i] = (r, ends, rows, np.empty(r.size))
+                    self._lines[i] = (r, ends, rows, np.empty(r.size), (0, r.size))
 
     def _compile(self, shape: GridShape, ext: tuple, slab: tuple, step: list, terms: list,
                  lines: dict) -> None:
-        """The terms as one flat program of (ufunc, in1, in2, out) steps.
+        """The terms as one flat program of (ufunc, in1, in2, out) steps per
+        part, a range of the slab's rows (see ``_cut``).
 
         Each term sums its inputs into a work buffer and multiplies by its
         coefficient; the first term works in the accumulator, every later
         one adds its product to it.  An input is the slab shifted by its
-        flat offset in one padded copy of the extended grid.  The solves'
-        right-hand sides share the work array of the accumulator.
+        flat offset in one padded copy of the extended grid; a range's
+        program works on its rows of each operand, a coefficient of one row
+        serving every range.  The solves' right-hand sides share the work
+        array of the accumulator.
         """
         n, rev = shape.ndim, shape.reversed_points
         self._rev, self._interior = rev, (slice(1, None),) * n
@@ -232,30 +312,43 @@ class GridOperator:
             (grid[(slice(None),) * a + (m,)], grid[(slice(None),) * a + (m - 2,)])
             for a, m in enumerate(rev)
         ]
-        lo, size = pad + step[0], math.prod(slab)
+        lo, size, self._threads = pad + step[0], math.prod(slab), _threads()
         scratch = np.empty(2 * size)
         acc, buf = scratch[:size].reshape(slab), scratch[size:].reshape(slab)
-        self._steps = steps = []
-        for coef, inputs in terms:
-            work = buf if steps else acc  # the first term sums in the accumulator
-            (_, first), *rest = [(sign, padded[lo + at : lo + at + size].reshape(slab))
-                                 for sign, at in inputs]
-            steps.extend(
-                (np.add if sign > 0 else np.subtract, work if j else first, view, work)
-                for j, (sign, view) in enumerate(rest)
-            )
-            steps.append((np.multiply, work, coef, work))
-            if work is buf:
-                steps.append((np.add, acc, buf, acc))
+
+        def program(a: int, z: int) -> functools.partial:
+            """The terms over slab rows a..z - 1."""
+            steps, rows, total = [], (z - a,) + slab[1:], acc[a:z]
+            for t, (coef, inputs) in enumerate(terms):
+                work = buf[a:z] if t else total  # the first term sums in the accumulator
+                (_, first), *rest = [
+                    (sign, padded[lo + at + a * step[0] : lo + at + z * step[0]].reshape(rows))
+                    for sign, at in inputs
+                ]
+                steps.extend(
+                    (np.add if sign > 0 else np.subtract, work if j else first, view, work)
+                    for j, (sign, view) in enumerate(rest)
+                )
+                shared = np.ndim(coef) < n or len(coef) == 1
+                steps.append((np.multiply, work, coef if shared else coef[a:z], work))
+                if t:
+                    steps.append((np.add, total, work, total))
+            return functools.partial(_program, steps)
+
+        cut = _cut(slab[0], size, self._threads) if terms else [0, slab[0]]
+        self._programs = [program(a, z) for a, z in zip(cut, cut[1:])]
         # the slab's inner nodes, or nothing when every term vanishes
-        self._result = acc[(slice(None),) + (slice(1, -1),) * (n - 1)] if steps else 0.0
-        # per diffusive direction, its distinct lines (see __init__) and their
-        # right-hand sides in the work array, in chain order
+        self._result = acc[(slice(None),) + (slice(1, -1),) * (n - 1)] if terms else 0.0
+        # per diffusive direction, its distinct lines (see __init__), their
+        # right-hand sides in the work array, in chain order, cut into
+        # ranges of axis 0, and those cuts as offsets in the chain's storage
         for i, (order, r) in lines.items():
             b = scratch[: shape.interior_points].reshape([rev[a] - 1 for a in order])
             m = r.shape[-1]  # a line's rows; every line ends alike, so hold one line's ends
             ends = np.broadcast_to(np.arange(m) == m - 1, r.shape)
-            self._lines[i] = (r, ends, (order, b), b.reshape(-1, r.size).T)  # Fortran-ordered
+            cut = _cut(b.shape[0], b.size, self._threads)
+            self._lines[i] = (r, ends, (order, b, cut), b.reshape(-1, r.size).T,  # Fortran-ordered
+                              [c * b[0].size for c in cut])
 
     def __reduce__(self):
         raise TypeError("a GridOperator cannot be copied or pickled")
@@ -271,8 +364,7 @@ class GridOperator:
         self._nodes[...] = y.reshape(self._rev)
         for ghost, mirror in self._ghosts:
             ghost[...] = mirror
-        for ufunc, a, b, o in self._steps:
-            ufunc(a, b, o)
+        _run(self._programs, self._threads)
         out = np.zeros(y.size)
         out.reshape(self._rev)[self._interior] = self._result
         return out
@@ -293,7 +385,10 @@ class GridOperator:
         chains only its distinct lines, as lines with equal coefficients
         share one factor: direction N has a single distinct line, a
         direction i < N one per V row.  It scales them into Fortran-ordered
-        right-hand sides whose columns are the repeats of the chain.
+        right-hand sides whose columns are the repeats of the chain, in
+        parts, each a range of axis 0 of the transposed lines: a block of
+        columns or, with no repeats, of whole lines (see ``_Chain``).
+        Each part scales, solves and writes back its own range.
         """
         g = _vector(g, self.size)
         if self.check_rhs and np.any(g[~np.concatenate([s.inner_mask() for s in self.shapes])]):
@@ -303,23 +398,23 @@ class GridOperator:
             _check_solve(self.n_directions, i, w)
             chain = False
             if w != 0.0 and i in self._lines:
-                r, ends, _, b = self._lines[i]
-                chain = _Chain(r.reshape(-1), ends.reshape(-1), w, b)
+                r, ends, _, b, cuts = self._lines[i]
+                chain = _Chain(r.reshape(-1), ends.reshape(-1), w, b, cuts)
             self._factors[(i, w)] = chain
         out = g.copy()
         if not chain:
             return out
-        r, _, at, _ = self._lines[i]
+        r, _, at, _, _ = self._lines[i]
         if self._matrix is not None:  # ``at`` indexes the chained rows
             np.multiply(out[at], r, chain.b)
             chain.solve()
             out[at] = chain.b
-        else:  # ``at`` is the axis order and the right-hand sides
-            order, b = at
+        else:  # ``at`` is the axis order, the right-hand sides and their cuts
+            order, b, cut = at
             lines = out.reshape(self._rev)[self._interior].transpose(order)
-            np.multiply(lines, r, b)
-            chain.solve()
-            lines[...] = b
+            shared = r.ndim < b.ndim  # r spans the lines of one column
+            _run([functools.partial(_sweep, lines[a:z], r if shared else r[a:z], b[a:z], part)
+                  for a, z, part in zip(cut, cut[1:], chain.parts)], self._threads)
         return out
 
     def lines_in_direction(self, i: int) -> int:
@@ -446,6 +541,19 @@ def _assemble(nodes: np.ndarray, slab: tuple[int, ...], terms: list, lines: dict
     return vals[keep], reach[keep], counts.reshape(-1), chains
 
 
+def _program(steps: list) -> None:
+    for ufunc, a, b, o in steps:
+        ufunc(a, b, o)
+
+
+def _sweep(lines: np.ndarray, r: np.ndarray, b: np.ndarray, part: tuple) -> None:
+    """Scale ``lines`` by ``r`` into the right-hand sides ``b`` of one part
+    of a chain, solve and write the solution back."""
+    np.multiply(lines, r, b)
+    _solve(*part)
+    lines[...] = b
+
+
 def _vector(y, size: int) -> np.ndarray:
     """``y`` as a float array, checked to hold one value per node of the operator."""
     y = np.asarray(y, dtype=float)
@@ -463,7 +571,7 @@ def _check_solve(n: int, i: int, w: float) -> None:
 
 class _Chain:
     """Chained lines of I - w*A_i, rows scaled by r, factored once and
-    bound to the Fortran-ordered right-hand sides ``b``.
+    bound, in parts, to the Fortran-ordered right-hand sides ``b``.
 
     ``ends`` marks the last row of each line, its Neumann row.  Row j,
     (1 + 2wd_j) x_j - wd_j (x_{j-1} + x_{j+1}), times r_j = 1/d_j has
@@ -476,9 +584,15 @@ class _Chain:
     ``r``, ``b``, ``d`` and ``e`` (typed by ``w``), one row of ``b`` per
     row, sizes that fit a C int, and ``b``, writable and Fortran-contiguous.
     The chain keeps ``d``, ``e`` and ``b``, whose addresses it passes.
+
+    ``cuts`` are offsets in ``b``'s storage that cut it into parts, solved
+    apart, each bound with its own ``info``: blocks of whole columns or,
+    for one right-hand side, runs of whole lines, whose factor is the
+    slice of the chain's, as the lines couple with zero.  A part holds
+    arrays and ``ctypes`` values only, so it keeps no chain alive.
     """
 
-    def __init__(self, r: np.ndarray, ends: np.ndarray, w: float, b: np.ndarray):
+    def __init__(self, r: np.ndarray, ends: np.ndarray, w: float, b: np.ndarray, cuts=None):
         n = r.size
         if b.shape[:1] != (n,):
             raise ValueError(f"a chain of {n} rows has right-hand sides of shape {b.shape}")
@@ -489,6 +603,10 @@ class _Chain:
             raise ValueError("a tridiagonal system needs contiguous, Fortran-ordered right-hand sides")
         if not b.flags.writeable:
             raise ValueError("the right-hand sides of a tridiagonal solve must be writable")
+        cuts = (0, b.size) if cuts is None else cuts
+        if cuts[0] != 0 or cuts[-1] != b.size or any(z <= a or (z % n if nrhs > 1 else not ends[z - 1])
+                                                     for a, z in zip(cuts, cuts[1:])):
+            raise ValueError("a chain's parts must cut it at whole columns or whole lines")
         self.d = d = r + 2.0 * w
         d[ends] = r[ends] + w
         self.e = e = np.full(n - 1, -w)
@@ -496,29 +614,41 @@ class _Chain:
         if not r.dtype == b.dtype == d.dtype == e.dtype == np.float64:
             raise ValueError("a tridiagonal system needs float64 arrays and shift")
         self.b = b
-        self._info = info = ctypes.c_int()
-        # a chain of one row is its own factor and is divided in numpy, as
-        # ``dpttrs`` divides each row of a longer chain (it would multiply
-        # this one by 1/d), so a row's bits do not depend on its chain
-        self._args = None
         if n > 1:
-            rows = ctypes.c_int(n)
-            _dpttrf(rows, d.ctypes.data, e.ctypes.data, info)
+            info = ctypes.c_int()
+            _dpttrf(ctypes.c_int(n), d.ctypes.data, e.ctypes.data, info)
             if info.value != 0:
                 raise FloatingPointError(f"tridiagonal factorisation failed (info={info.value})")
-            self._args = (rows, ctypes.c_int(nrhs), d.ctypes.data, e.ctypes.data, b.ctypes.data,
-                          rows, info)
         if not (np.isfinite(d).all() and np.isfinite(e).all()):
             raise FloatingPointError("non-finite tridiagonal factor")
+        self.parts = []  # per part: its block of b, its d, its dpttrs arguments and info
+        flat = b.reshape(-1, order="F")
+        for a, z in zip(cuts, cuts[1:]):
+            rows, part_d, part_e = (n, d, e) if nrhs > 1 else (z - a, d[a:z], e[a : z - 1])
+            block, info, args = flat[a:z].reshape(rows, -1, order="F"), ctypes.c_int(), None
+            # a part of one row is its own factor and is divided in numpy, as
+            # ``dpttrs`` divides each row of a longer chain (it would multiply
+            # this one by 1/d), so a row's bits do not depend on its part
+            if rows > 1:
+                size = ctypes.c_int(rows)
+                args = (size, ctypes.c_int(block.shape[1]), part_d.ctypes.data,
+                        part_e.ctypes.data, block.ctypes.data, size, info)
+            self.parts.append((block, part_d, args, info))
 
     def solve(self) -> None:
-        """Overwrite ``b`` with the solution."""
-        if self._args is None:
-            self.b /= self.d
-            return
-        _dpttrs(*self._args)
-        if self._info.value != 0:
-            raise FloatingPointError(f"tridiagonal solve failed (info={self._info.value})")
+        """Overwrite ``b`` with the solution, one part after another."""
+        for part in self.parts:
+            _solve(*part)
+
+
+def _solve(b: np.ndarray, d: np.ndarray, args: tuple | None, info: ctypes.c_int) -> None:
+    """Overwrite the right-hand sides ``b`` of one part of a chain with the solution."""
+    if args is None:
+        b /= d
+        return
+    _dpttrs(*args)
+    if info.value != 0:
+        raise FloatingPointError(f"tridiagonal solve failed (info={info.value})")
 
 
 def initial_state(market: MarketData, product: ProductSpec, shape: GridShape) -> StateVector:

@@ -20,7 +20,6 @@ import functools
 import math
 import multiprocessing
 import operator
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -35,6 +34,8 @@ from .operator import (
     CSR_MAX_NODES,
     GridOperator,
     StateVector,
+    _cores,
+    _share_cores,
     initial_state,
     interpolate,
 )
@@ -297,10 +298,13 @@ def combine(
 ) -> SparseResult:
     """Solve every component grid and reduce the weighted prices.
 
-    ``threads`` is the number of worker processes (default: the cpu
-    count), capped at the cpu count and the number of components, since
-    the pool starts every worker at once; with one worker the
-    components are solved in this process.  Every component is checked
+    ``threads`` is the number of worker processes (default: the cores
+    this process may run on), capped at that core count and the number
+    of components, since the pool starts every worker at once; with one
+    worker the components are solved in this process.  A grid over
+    ``CSR_MAX_NODES`` nodes splits its work between threads, one per
+    core in this process and cores // workers in a pool's worker, so
+    threads times workers stays within the cores.  Every component is checked
     against ``max_nodes`` before any solve starts.  The plan is split, in
     plan order, into batches (see ``_batches``): the grids of at most
     ``CSR_MAX_NODES`` nodes are solved together through one
@@ -318,7 +322,7 @@ def combine(
     points = admit(plan, product, domain, max_nodes)
 
     started = time.perf_counter()
-    cpus = os.cpu_count() or 1
+    cpus = _cores()
     workers = min(threads or cpus, cpus, len(plan))
     batches = _batches(points, plan.dims, workers)
     jobs = [
@@ -328,9 +332,9 @@ def combine(
     pool = None
     try:
         if workers > 1 and len(jobs) > 1:
-            pool = ProcessPoolExecutor(
-                min(workers, len(jobs)), mp_context=multiprocessing.get_context("fork")
-            )
+            size = min(workers, len(jobs))
+            pool = ProcessPoolExecutor(size, mp_context=multiprocessing.get_context("fork"),
+                                       initializer=_share_cores, initargs=(size,))
             pending = [pool.submit(_solve_batch, *job).result for job in jobs]
         else:
             pending = [functools.partial(_solve_batch, *job) for job in jobs]

@@ -2,7 +2,10 @@ import copy
 import dataclasses
 import hashlib
 import math
+import os
 import pickle
+import threading
+import time
 import types
 
 import numpy as np
@@ -14,12 +17,14 @@ import ratespde.operator as operator_mod
 from ratespde import (
     CAPLET,
     SWAPTION,
+    AmfrW2Config,
     GridOperator,
     GridShape,
     PdeModel,
     ProductSpec,
     StateVector,
     initial_state,
+    integrate,
     interpolate,
     payoff,
 )
@@ -48,9 +53,9 @@ def record_factors(monkeypatch):
     shifts = []
     build = operator_mod._Chain
 
-    def recorded(r, ends, w, b):
+    def recorded(r, ends, w, b, *cuts):
         shifts.append(w)
-        return build(r, ends, w, b)
+        return build(r, ends, w, b, *cuts)
 
     monkeypatch.setattr(operator_mod, "_Chain", recorded)
     return shifts
@@ -504,6 +509,86 @@ class TestBlockOperator:
         bad[first.total_points + np.flatnonzero(~second.inner_mask())[-1]] = 1.0
         with pytest.raises(ValueError, match="frozen"):
             block.solve_directional(1, 0.1, bad)
+
+
+class TestParts:
+    """A grid over CSR_MAX_NODES cuts ``apply`` and each solve into parts
+    along its outer axis, run by the calling thread and helper threads;
+    each part does the arithmetic of the uncut call."""
+
+    # an odd outer count in 2D, whose direction-1 chain is cut at line
+    # ends, and a 3D grid, whose solves are cut by columns; one part per
+    # thread, then parts of at most about 2**12 nodes on one or two threads
+    @pytest.mark.parametrize("counts", [(128, 129), (20, 25, 31)])
+    def test_bitwise_equal_to_one_part(self, monkeypatch, counts):
+        outputs = []
+        for threads, part_nodes in ((1, math.inf), (2, math.inf), (3, math.inf),
+                                    (1, 2**12), (2, 2**12)):
+            monkeypatch.setattr(operator_mod, "_threads", lambda: threads)
+            monkeypatch.setattr(operator_mod, "_PART_NODES", part_nodes)
+            parts = threads if part_nodes == math.inf else 5  # of 16,770 and 16,926 slab nodes
+            op, market, product, shape = make_operator(counts)
+            assert len(op._programs) == parts
+            y = np.random.default_rng(7).normal(size=op.size)
+            g = y * op.shape.inner_mask()
+            outs = [op.apply(y)]
+            for i in range(1, op.n_directions + 1):
+                for w in (0.07, 1.3):
+                    outs.append(op.solve_directional(i, w, g))
+                    assert len(op._factors[(i, w)].parts) >= threads
+            y0 = initial_state(market, product, shape).values
+            outs.append(integrate(op, y0, 0.5, AmfrW2Config(num_steps=2)))
+            outputs.append([o.tobytes() for o in outs])
+        assert all(out == outputs[0] for out in outputs[1:])
+
+    def test_failing_part_raises_after_every_part_finished(self, monkeypatch):
+        monkeypatch.setattr(operator_mod, "_threads", lambda: 2)
+        op, *_ = make_operator((128, 129))
+        g = rng().normal(size=op.size) * op.shape.inner_mask()
+        expected = op.solve_directional(2, 0.3, g)
+        dpttrs, started, finished = operator_mod._dpttrs, threading.Event(), []
+
+        def helper_fails(*args):
+            if threading.current_thread() is threading.main_thread():
+                started.wait(10)  # so the caller leaves the second part to the helper
+                return dpttrs(*args)
+            started.set()
+            args[-1].value = 3  # the part's own info
+
+        def caller_fails(*args):
+            if threading.current_thread() is threading.main_thread():
+                args[-1].value = 4
+                return
+            time.sleep(0.2)  # the caller's part fails first
+            dpttrs(*args)
+            finished.append(True)
+
+        monkeypatch.setattr(operator_mod, "_dpttrs", helper_fails)
+        with pytest.raises(FloatingPointError, match="info=3"):
+            op.solve_directional(2, 0.3, g)
+        assert started.is_set()
+        monkeypatch.setattr(operator_mod, "_dpttrs", caller_fails)
+        with pytest.raises(FloatingPointError, match="info=4"):
+            op.solve_directional(2, 0.3, g)
+        assert finished == [True]
+        monkeypatch.setattr(operator_mod, "_dpttrs", dpttrs)
+        assert np.array_equal(op.solve_directional(2, 0.3, g), expected)
+
+    def test_threads_share_the_cores(self, monkeypatch):
+        monkeypatch.setattr(operator_mod, "_cores", lambda: 4)
+        for processes, threads in ((1, 4), (2, 2), (3, 1), (8, 1)):
+            monkeypatch.setattr(operator_mod, "_processes", processes)
+            assert operator_mod._threads() == threads
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+    def test_one_part_when_confined_to_one_core(self):
+        # as under ``taskset -c 0``: the affinity set, not the machine, counts
+        cores = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(cores)})
+        try:
+            assert operator_mod._cores() == 1 and operator_mod._threads() == 1
+        finally:
+            os.sched_setaffinity(0, cores)
 
 
 class TestCompiledRoutines:

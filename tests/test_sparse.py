@@ -1,8 +1,12 @@
 import concurrent.futures
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -326,7 +330,7 @@ class TestCombine:
         sizes = []
 
         class RecordingPool:
-            def __init__(self, max_workers, mp_context=None):
+            def __init__(self, max_workers, mp_context=None, initializer=None, initargs=()):
                 sizes.append(max_workers)
 
             def submit(self, fn, *args):
@@ -341,12 +345,39 @@ class TestCombine:
         monkeypatch.setattr(
             sparse_mod, "solve_component_grids", lambda levels, *a, **k: [1.0] * len(levels)
         )
-        monkeypatch.setattr(sparse_mod.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(sparse_mod, "_cores", lambda: 2)
         plan = standard_plan(6, 2)
         assert len(plan) == 13
         for threads in (3, 10_000, None):
             combine(plan, market_flat, caplet, caplet_domain, AmfrW2Config(num_steps=1), threads=threads)
         assert sizes == [2, 2, 2]
+
+    def test_pool_forked_after_helper_threads(self):
+        # pricing a large grid in-process starts the helper threads; the
+        # pool forked next must finish, its workers making their own
+        # helpers for the large grids of the plan, and match one worker
+        # bitwise.  A fresh interpreter bounds a hang by its timeout
+        script = """
+import ratespde.operator as operator_mod
+from ratespde import CAPLET, AmfrW2Config, DomainSpec, ProductSpec, combine, standard_plan
+from ratespde import solve_component_grids
+from conftest import make_market
+operator_mod._threads = lambda: 2
+market, caplet = make_market(sigma=0.3, phi=0.4), ProductSpec(CAPLET, 1, 2)
+domain = DomainSpec.for_product(market, caplet, f_max=0.04, v_max=3.5)
+cfg = AmfrW2Config(num_steps=1)
+solve_component_grids([(8, 8)], market, caplet, domain, cfg)
+assert operator_mod._helpers[1] is not None
+plan = standard_plan(14, 2)  # every grid of its finest layer is over CSR_MAX_NODES
+print(*(combine(plan, market, caplet, domain, cfg, threads=k).value_bps.hex() for k in (2, 1)))
+"""
+        here = Path(__file__).resolve().parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env, timeout=60)
+        assert run.returncode == 0, run.stderr
+        pooled, alone = run.stdout.split()
+        assert pooled == alone
 
     def test_nonpositive_threads_rejected(self, market_flat, caplet, caplet_domain):
         for threads in (0, -3):
