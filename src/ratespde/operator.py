@@ -32,8 +32,9 @@ and parts of at most about ``_PART_NODES`` nodes, whose operands stay in
 cache.  The calling thread runs the first part, and it and the helper
 threads take the others in turn (``_run``).  Every element does the
 arithmetic it does uncut, so the outputs are bitwise the serial ones.  A
-solve's part is a block of its right-hand-side columns or, where the
-lines form one chain, a run of whole lines.
+solve's part is a range of axis 0 of its right-hand sides in chain
+layout: a block of columns or, with no repeats, a run of whole lines.
+The helper threads are stopped before any fork, so no child copies them.
 
 The three compiled routines used, LAPACK's ``dpttrf`` and ``dpttrs`` and
 the CSR product ``csr_matvec``, come from scipy's extension modules
@@ -52,6 +53,7 @@ import importlib.util
 import math
 import os
 import re
+import threading
 from dataclasses import dataclass
 from importlib.machinery import PathFinder
 
@@ -75,7 +77,8 @@ _PART_NODES = 2**15
 # the processes that share this process's cores: in a ``combine`` pool's
 # workers, the pool's size (see ``_share_cores``)
 _processes = 1
-_helpers: tuple = (None, None)  # the process id that made the helper threads, and they
+_helpers = None  # the helper threads' pool, made on first use and stopped before a fork
+_helpers_lock = threading.Lock()  # held to make, hand work to or stop the pool
 
 
 def _cores() -> int:
@@ -96,27 +99,40 @@ def _threads() -> int:
     return max(1, _cores() // _processes)
 
 
+def _stop_helpers() -> None:
+    """Stop the helper threads, once the work handed to them is done, and forget them."""
+    global _helpers
+    with _helpers_lock:
+        if _helpers is not None:
+            _helpers.shutdown()
+            _helpers = None
+
+
+if hasattr(os, "register_at_fork"):  # so that no fork, ours or a caller's, copies a helper
+    os.register_at_fork(before=_stop_helpers)
+
+
 def _run(tasks: list, threads: int) -> None:
     """Call each task on this thread or one of ``threads - 1`` helper
     threads: the first here, the others each on the next thread free.
 
     Every task has finished when this returns or raises, as the next call
-    reuses the buffers they write.  The helpers are made on first use, and
-    again in a forked child, whose copy of its parent's has no threads.
+    reuses the buffers they write.  The helpers are made on first use.
     """
     global _helpers
     threads = min(threads, len(tasks))
-    if threads > 1 and _helpers[0] != os.getpid():
-        from concurrent.futures.thread import ThreadPoolExecutor
-
-        _helpers = os.getpid(), ThreadPoolExecutor(max(1, _cores() - 1))
     rest = iter(tasks[1:])  # one ``next`` call hands each task to one thread
 
     def take() -> None:
         for task in rest:
             task()
 
-    helpers = [_helpers[1].submit(take) for _ in range(threads - 1)]
+    with _helpers_lock:
+        if threads > 1 and _helpers is None:
+            from concurrent.futures.thread import ThreadPoolExecutor
+
+            _helpers = ThreadPoolExecutor(max(1, _cores() - 1))
+        helpers = [_helpers.submit(take) for _ in range(threads - 1)]
     try:
         tasks[0]()
         take()
@@ -202,7 +218,7 @@ class GridOperator:
         self.size = sum(s.total_points for s in shapes)
         self.check_rhs = check_rhs
         # per diffusive direction i: its chain's row scales, line ends, rows
-        # (see solve_directional), right-hand sides and cuts into parts
+        # (see solve_directional), right-hand sides and parts' bounds (_Chain)
         self._lines: dict[int, tuple] = {}
         # per valid (i, w) its factored chain, False where nothing is solved
         self._factors: dict[tuple[int, float], _Chain | bool] = {}
@@ -284,7 +300,7 @@ class GridOperator:
             for i in range(1, n + 1):
                 if own := [grid[i] for grid in chains if i in grid]:
                     r, ends, rows = map(np.concatenate, zip(*own))
-                    self._lines[i] = (r, ends, rows, np.empty(r.size), (0, r.size))
+                    self._lines[i] = (r, ends, rows, np.empty(r.size), None)
 
     def _compile(self, shape: GridShape, ext: tuple, slab: tuple, step: list, terms: list,
                  lines: dict) -> None:
@@ -340,15 +356,13 @@ class GridOperator:
         # the slab's inner nodes, or nothing when every term vanishes
         self._result = acc[(slice(None),) + (slice(1, -1),) * (n - 1)] if terms else 0.0
         # per diffusive direction, its distinct lines (see __init__), their
-        # right-hand sides in the work array, in chain order, cut into
-        # ranges of axis 0, and those cuts as offsets in the chain's storage
+        # axis order, and their right-hand sides in the work array in chain
+        # layout, cut into ranges of axis 0
         for i, (order, r) in lines.items():
             b = scratch[: shape.interior_points].reshape([rev[a] - 1 for a in order])
             m = r.shape[-1]  # a line's rows; every line ends alike, so hold one line's ends
             ends = np.broadcast_to(np.arange(m) == m - 1, r.shape)
-            cut = _cut(b.shape[0], b.size, self._threads)
-            self._lines[i] = (r, ends, (order, b, cut), b.reshape(-1, r.size).T,  # Fortran-ordered
-                              [c * b[0].size for c in cut])
+            self._lines[i] = (r, ends, order, b, _cut(b.shape[0], b.size, self._threads))
 
     def __reduce__(self):
         raise TypeError("a GridOperator cannot be copied or pickled")
@@ -384,11 +398,10 @@ class GridOperator:
         values are bitwise the same alone and in any batch.  A large grid
         chains only its distinct lines, as lines with equal coefficients
         share one factor: direction N has a single distinct line, a
-        direction i < N one per V row.  It scales them into Fortran-ordered
-        right-hand sides whose columns are the repeats of the chain, in
-        parts, each a range of axis 0 of the transposed lines: a block of
-        columns or, with no repeats, of whole lines (see ``_Chain``).
-        Each part scales, solves and writes back its own range.
+        direction i < N one per V row.  Its lines, transposed to chain
+        layout, are scaled into right-hand sides whose leading axes are
+        the repeats of the chain, in parts, each a range of axis 0 (see
+        ``_Chain``) that scales, solves and writes back its own rows.
         """
         g = _vector(g, self.size)
         if self.check_rhs and np.any(g[~np.concatenate([s.inner_mask() for s in self.shapes])]):
@@ -398,8 +411,8 @@ class GridOperator:
             _check_solve(self.n_directions, i, w)
             chain = False
             if w != 0.0 and i in self._lines:
-                r, ends, _, b, cuts = self._lines[i]
-                chain = _Chain(r.reshape(-1), ends.reshape(-1), w, b, cuts)
+                r, ends, _, b, cut = self._lines[i]
+                chain = _Chain(r, ends, w, b, cut)
             self._factors[(i, w)] = chain
         out = g.copy()
         if not chain:
@@ -409,12 +422,9 @@ class GridOperator:
             np.multiply(out[at], r, chain.b)
             chain.solve()
             out[at] = chain.b
-        else:  # ``at`` is the axis order, the right-hand sides and their cuts
-            order, b, cut = at
-            lines = out.reshape(self._rev)[self._interior].transpose(order)
-            shared = r.ndim < b.ndim  # r spans the lines of one column
-            _run([functools.partial(_sweep, lines[a:z], r if shared else r[a:z], b[a:z], part)
-                  for a, z, part in zip(cut, cut[1:], chain.parts)], self._threads)
+        else:  # ``at`` is the axis order that chains the lines
+            lines = out.reshape(self._rev)[self._interior].transpose(at)
+            _run([functools.partial(_sweep, lines, *part) for part in chain.parts], self._threads)
         return out
 
     def lines_in_direction(self, i: int) -> int:
@@ -546,11 +556,12 @@ def _program(steps: list) -> None:
         ufunc(a, b, o)
 
 
-def _sweep(lines: np.ndarray, r: np.ndarray, b: np.ndarray, part: tuple) -> None:
-    """Scale ``lines`` by ``r`` into the right-hand sides ``b`` of one part
-    of a chain, solve and write the solution back."""
+def _sweep(lines: np.ndarray, rows: slice, r: np.ndarray, b: np.ndarray, *solve) -> None:
+    """Scale ``rows`` of ``lines``, in chain layout, by ``r`` into one part's
+    right-hand sides ``b``, solve and write the solution back."""
+    lines = lines[rows]
     np.multiply(lines, r, b)
-    _solve(*part)
+    _solve(b, *solve)
     lines[...] = b
 
 
@@ -571,7 +582,7 @@ def _check_solve(n: int, i: int, w: float) -> None:
 
 class _Chain:
     """Chained lines of I - w*A_i, rows scaled by r, factored once and
-    bound, in parts, to the Fortran-ordered right-hand sides ``b``.
+    bound, in parts, to the right-hand sides ``b``.
 
     ``ends`` marks the last row of each line, its Neumann row.  Row j,
     (1 + 2wd_j) x_j - wd_j (x_{j-1} + x_{j+1}), times r_j = 1/d_j has
@@ -579,36 +590,34 @@ class _Chain:
     lower neighbour) times r_M = 1/(2d_M) has diagonal r_M + w.  Rows of
     different lines couple with zero.
 
-    ``dpttrf`` and ``dpttrs`` trust their pointers, so the constructor
-    checks once what scipy's wrappers checked on every call: float64
-    ``r``, ``b``, ``d`` and ``e`` (typed by ``w``), one row of ``b`` per
-    row, sizes that fit a C int, and ``b``, writable and Fortran-contiguous.
-    The chain keeps ``d``, ``e`` and ``b``, whose addresses it passes.
+    ``b`` is in chain layout, C-ordered: trailing axes shaped as ``r``,
+    leading axes, if any, the repeats of the chain.  ``dpttrf`` and
+    ``dpttrs`` trust their pointers, so the constructor checks once what
+    scipy's wrappers checked on every call: float64 ``r``, ``b``, ``d``
+    and ``e`` (typed by ``w``), ``b``'s shape, sizes that fit a C int, and
+    ``b``, writable and C-contiguous.  The chain keeps ``d``, ``e`` and
+    ``b``, whose addresses it passes.
 
-    ``cuts`` are offsets in ``b``'s storage that cut it into parts, solved
-    apart, each bound with its own ``info``: blocks of whole columns or,
-    for one right-hand side, runs of whole lines, whose factor is the
-    slice of the chain's, as the lines couple with zero.  A part holds
-    arrays and ``ctypes`` values only, so it keeps no chain alive.
+    ``cut`` bounds the parts (one if None), ranges of axis 0 of ``b`` and,
+    with no repeats, of ``r``, whose rows are whole lines: blocks of
+    right-hand sides or runs of lines, whose factor is the slice of the
+    chain's, as the lines couple with zero.  Each is solved apart with its
+    own ``info`` and holds arrays and ``ctypes`` values only, no chain.
     """
 
-    def __init__(self, r: np.ndarray, ends: np.ndarray, w: float, b: np.ndarray, cuts=None):
+    def __init__(self, r: np.ndarray, ends: np.ndarray, w: float, b: np.ndarray, cut=None):
         n = r.size
-        if b.shape[:1] != (n,):
-            raise ValueError(f"a chain of {n} rows has right-hand sides of shape {b.shape}")
-        nrhs = b.size // n
-        if max(n, nrhs) > _INT_MAX:
-            raise ValueError(f"{n} rows and {nrhs} right-hand sides exceed LAPACK's 32-bit sizes")
-        if not b.flags.f_contiguous:
-            raise ValueError("a tridiagonal system needs contiguous, Fortran-ordered right-hand sides")
+        if b.shape[b.ndim - r.ndim :] != r.shape:
+            raise ValueError(f"a chain of rows shaped {r.shape} has right-hand sides of shape {b.shape}")
+        if max(n, b.size // n) > _INT_MAX:
+            raise ValueError(f"{n} rows and {b.size // n} right-hand sides exceed LAPACK's 32-bit sizes")
+        if not b.flags.c_contiguous:
+            raise ValueError("a tridiagonal system needs contiguous, C-ordered right-hand sides")
         if not b.flags.writeable:
             raise ValueError("the right-hand sides of a tridiagonal solve must be writable")
-        cuts = (0, b.size) if cuts is None else cuts
-        if cuts[0] != 0 or cuts[-1] != b.size or any(z <= a or (z % n if nrhs > 1 else not ends[z - 1])
-                                                     for a, z in zip(cuts, cuts[1:])):
-            raise ValueError("a chain's parts must cut it at whole columns or whole lines")
-        self.d = d = r + 2.0 * w
-        d[ends] = r[ends] + w
+        flat, ends = r.reshape(-1), ends.reshape(-1)
+        self.d = d = flat + 2.0 * w
+        d[ends] = flat[ends] + w
         self.e = e = np.full(n - 1, -w)
         e[ends[:-1]] = 0.0  # a row couples to its neighbours on the same line only
         if not r.dtype == b.dtype == d.dtype == e.dtype == np.float64:
@@ -621,24 +630,25 @@ class _Chain:
                 raise FloatingPointError(f"tridiagonal factorisation failed (info={info.value})")
         if not (np.isfinite(d).all() and np.isfinite(e).all()):
             raise FloatingPointError("non-finite tridiagonal factor")
-        self.parts = []  # per part: its block of b, its d, its dpttrs arguments and info
-        flat = b.reshape(-1, order="F")
-        for a, z in zip(cuts, cuts[1:]):
-            rows, part_d, part_e = (n, d, e) if nrhs > 1 else (z - a, d[a:z], e[a : z - 1])
-            block, info, args = flat[a:z].reshape(rows, -1, order="F"), ctypes.c_int(), None
+        repeats, cut = b.ndim > r.ndim, cut or (0, len(b))
+        self.parts = []
+        for a, z in zip(cut, cut[1:]):  # per part, its first row in the chain and its rows
+            at, rows = (0, n) if repeats else (a * b[0].size, (z - a) * b[0].size)
+            part_d, info, args = d[at : at + rows], ctypes.c_int(), None
             # a part of one row is its own factor and is divided in numpy, as
             # ``dpttrs`` divides each row of a longer chain (it would multiply
             # this one by 1/d), so a row's bits do not depend on its part
             if rows > 1:
+                block = b[a:z].reshape(-1, rows).T  # Fortran-ordered, one column per right-hand side
                 size = ctypes.c_int(rows)
                 args = (size, ctypes.c_int(block.shape[1]), part_d.ctypes.data,
-                        part_e.ctypes.data, block.ctypes.data, size, info)
-            self.parts.append((block, part_d, args, info))
+                        e[at:].ctypes.data, block.ctypes.data, size, info)
+            self.parts.append((slice(a, z), r if repeats else r[a:z], b[a:z], part_d, args, info))
 
     def solve(self) -> None:
         """Overwrite ``b`` with the solution, one part after another."""
         for part in self.parts:
-            _solve(*part)
+            _solve(*part[2:])
 
 
 def _solve(b: np.ndarray, d: np.ndarray, args: tuple | None, info: ctypes.c_int) -> None:

@@ -153,10 +153,13 @@ def amfrw2_stage(
     khat *= config.theta * dt
     k0 *= 2.0
     k0 -= k_n
-    khat += k0
+    # K-hat, summed into k0 (x + y is y + x, bitwise) so that the second
+    # sweep reuses the memory of k_n and of apply's output
+    k0 += khat
+    del khat, k_n
     if counters is not None:
         counters.rhs_evals += 1
-    k = _sweep(op, w, khat, counters)
+    k = _sweep(op, w, k0, counters)
     check(k, f"stage {r}, second sweep")
     return k
 

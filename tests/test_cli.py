@@ -120,6 +120,27 @@ class TestParse:
         with pytest.raises(ConfigError, match="outside any section"):
             parse_config("a = 1\n" + MINIMAL_CAPLET)
 
+    # each edit of the minimal caplet and the message that names its fault
+    @pytest.mark.parametrize("old, new, cause", [
+        pytest.param("alphas = 0.0, 0.2366", "alphas = ,",
+                     r"line 6: expected a comma-separated list of numbers$", id="empty-list"),
+        pytest.param("[product]", "[product", "line 10: malformed section header", id="header"),
+        pytest.param("beta = 1.0", "beta = 1.0\nphi = 0.1\nphis = 0.1, 0.1",
+                     "line 9: give either 'phi' or 'phis'", id="phi-and-phis"),
+        pytest.param("kind = caplet", "kind = swaption", r"swaptions need 'b' in section \[product\]",
+                     id="swaption-without-b"),
+        pytest.param("kind = caplet\na = 1", "kind = caplet\na = 1\nb = 3",
+                     "invalid product: a caplet covers exactly one forward", id="product"),
+        pytest.param("technique = full", "technique = dense", "line 20: unknown technique 'dense'",
+                     id="technique"),
+        pytest.param("technique = full", "technique = modified\npsi = -1",
+                     "line 21: psi must be nonnegative", id="psi"),
+    ])
+    def test_bad_value_rejected_with_cause(self, old, new, cause):
+        assert MINIMAL_CAPLET.count(old) == 1
+        with pytest.raises(ConfigError, match=cause):
+            parse_config(MINIMAL_CAPLET.replace(old, new))
+
     def test_black_reference_needs_flat_caplet(self):
         ok = MINIMAL_CAPLET + "\n[output]\nreference = black\n"
         assert parse_config(ok).reference == "black"

@@ -94,6 +94,21 @@ def test_encode_array_rejects_wrong_component_count(j):
         fm.encode_array(np.array(j))
 
 
+# each call and the error that names its fault
+@pytest.mark.parametrize("call, error, cause", [
+    (lambda fm: FlatIndexMap((0,), (1, 2)), ValueError, "equal-length, nonempty"),
+    (lambda fm: FlatIndexMap((), ()), ValueError, "equal-length, nonempty"),
+    (lambda fm: FlatIndexMap((0, 3), (3, 2)), ValueError, r"empty index range \[3, 2\]"),
+    (lambda fm: fm.encode((1,)), ValueError, "expected 2 components, got 1"),
+    (lambda fm: fm.encode_array(np.array([[4, 0]])), IndexError, "component out of bounds"),
+    (lambda fm: fm.decode_array(np.array([0, fm.stop])), IndexError, "flat index out of bounds"),
+    (lambda fm: GridShape((4, 4), (1.0, 1.0)).axis_of(3), ValueError, r"direction 3 outside 1\.\.2"),
+])
+def test_bad_call_rejected_with_cause(call, error, cause):
+    with pytest.raises(error, match=cause):
+        call(FlatIndexMap(lowers=(0, 0), uppers=(3, 3)))
+
+
 def test_grid_shape_derived_quantities():
     shape = GridShape((4, 2, 8), (0.04, 0.04, 3.5))
     assert shape.points_per_direction == (5, 3, 9)

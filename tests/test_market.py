@@ -107,6 +107,32 @@ class TestMarketData:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             MarketData(**base)
 
+    # each call, on the flat market, and the error that names its fault
+    @pytest.mark.parametrize("call, error, cause", [
+        (lambda m: MarketData(**dict(MARKET_KWARGS, tenor_dates=(0.0,))), ValueError,
+         "at least two tenor dates"),
+        (lambda m: MarketData(**dict(MARKET_KWARGS, alphas=(0.0, 0.2))), ValueError, "must align"),
+        (lambda m: MarketData(**dict(MARKET_KWARGS, tenor_dates=(0.0, 0.5))), ValueError,
+         "more forwards than tenor gaps"),
+        (lambda m: m.discount_factor(11), IndexError, "tenor index 11 out of range"),
+        (lambda m: ProductSpec(SWAPTION, 9, 11).check_against(m), ValueError,
+         "beyond the structure"),
+        (lambda m: DomainSpec.for_product(m, ProductSpec(CAPLET, 1, 2), 0.04, 3.5,
+                                          eval_forwards=(0.01, 0.02)), ValueError,
+         "eval_forwards length"),
+        (lambda m: PdeModel(m, ProductSpec(SWAPTION, 1, 3)).advection(1, [], 1.0), ValueError,
+         r"advection direction 1 outside 2\.\.2"),
+        (lambda m: PdeModel(m, ProductSpec(SWAPTION, 1, 3)).advection(2, [], 1.0), ValueError,
+         "expected forwards F_2..F_2, got 0 values"),
+        (lambda m: PdeModel(m, ProductSpec(SWAPTION, 1, 3)).mixed(0, 2, 0.01, 0.01, 1.0), ValueError,
+         r"direction 0 outside 1\.\.3"),
+        (lambda m: payoff(m, ProductSpec(CAPLET, 1, 2), [0.01, 0.02]), ValueError,
+         "one value per participating forward"),
+    ])
+    def test_bad_call_rejected_with_cause(self, market_flat, call, error, cause):
+        with pytest.raises(error, match=cause):
+            call(market_flat)
+
 
 class TestProductSpec:
     def test_caplet_shape(self, caplet):

@@ -53,9 +53,9 @@ def record_factors(monkeypatch):
     shifts = []
     build = operator_mod._Chain
 
-    def recorded(r, ends, w, b, *cuts):
+    def recorded(r, ends, w, b, *cut):
         shifts.append(w)
-        return build(r, ends, w, b, *cuts)
+        return build(r, ends, w, b, *cut)
 
     monkeypatch.setattr(operator_mod, "_Chain", recorded)
     return shifts
@@ -618,14 +618,15 @@ class TestCompiledRoutines:
         assert info == 0
         x1, info = lapack.dpttrs(d1, e1, b)
         assert info == 0
-        chain = operator_mod._Chain(r, ends, w, b)
-        assert chain.b is b
+        rhs = b.T  # chain layout: one right-hand side per row
+        chain = operator_mod._Chain(r, ends, w, rhs)
+        assert chain.b is rhs
         assert np.array_equal(chain.d, d1) and np.array_equal(chain.e, e1)
         chain.solve()
-        assert b.flags.f_contiguous and np.array_equal(b, x1)
-        x = b[:, 0].copy()
+        assert rhs.flags.c_contiguous and np.array_equal(rhs, x1.T)
+        x = rhs[0].copy()
         operator_mod._Chain(r, ends, w, x).solve()
-        assert np.array_equal(x, lapack.dpttrs(d1, e1, b[:, 0])[0])
+        assert np.array_equal(x, lapack.dpttrs(d1, e1, rhs[0])[0])
 
     @staticmethod
     def forbid_lapack(monkeypatch):
@@ -637,17 +638,17 @@ class TestCompiledRoutines:
 
     def test_bad_arguments_rejected_before_lapack(self, monkeypatch):
         self.forbid_lapack(monkeypatch)
-        r, ends, b = np.full(4, 3.0), np.arange(4) == 3, np.ones((4, 2), order="F")
+        r, ends, b = np.full(4, 3.0), np.arange(4) == 3, np.ones((2, 4))
         frozen = np.ones(4)
         frozen.flags.writeable = False
         big = 2**31  # broadcast views: sizes past a C int without the memory
         bad = {  # (r, b) at w = 0.5, or (r, b, w)
-            "float64": [(r.astype(np.float32), b), (r, b.astype(np.float32, order="F")),
+            "float64": [(r.astype(np.float32), b), (r, b.astype(np.float32)),
                         (r, b, np.float32(0.5)), (r, b, 1)],  # e takes the type of w
-            "shape": [(r, b[:3]), (r, np.ones(()))],
+            "shape": [(r, b[:, :3]), (r, np.ones(())), (r, np.ones((4, 2), order="F"))],
             "32-bit": [(np.broadcast_to(3.0, big), np.broadcast_to(1.0, big)),
-                       (r, np.broadcast_to(1.0, (4, big)))],
-            "contiguous": [(r, np.ones((4, 2))), (r, np.ones((4, 4), order="F")[:, ::2])],
+                       (r, np.broadcast_to(1.0, (big, 4)))],
+            "contiguous": [(r, np.ones((2, 4), order="F")), (r, np.ones((2, 8))[:, ::2])],
             "writable": [(r, frozen)],
         }
         for match, cases in bad.items():
@@ -659,11 +660,11 @@ class TestCompiledRoutines:
         with pytest.raises(FloatingPointError, match="info=2"):
             operator_mod._Chain(np.array([1.0, -1.0]), np.array([False, True]), 0.0, np.ones(2))
 
-    @pytest.mark.parametrize("shape", [(1,), (1, 3)])
+    @pytest.mark.parametrize("shape", [(1,), (3, 1)])
     def test_one_row_chain_divides(self, monkeypatch, shape):
         self.forbid_lapack(monkeypatch)
         r, w = np.array([0.8]), 0.37
-        b = np.asfortranarray(np.random.default_rng(5).normal(size=shape))
+        b = np.random.default_rng(5).normal(size=shape)
         expected = b / (r[0] + w)
         chain = operator_mod._Chain(r, np.array([True]), w, b)
         chain.solve()
@@ -772,6 +773,12 @@ class TestInterpolate:
             interpolate(state, (0.05, 1.0))
         with pytest.raises(ValueError):
             interpolate(state, (0.01, -0.1))
+
+    @pytest.mark.parametrize("point", [(0.01,), (0.01, 1.0, 1.0)])
+    def test_point_length_checked(self, market_flat, caplet, point):
+        state = initial_state(market_flat, caplet, GridShape((4, 4), (0.04, 3.5)))
+        with pytest.raises(ValueError, match="point needs 2 coordinates"):
+            interpolate(state, point)
 
 
 class TestStateVector:

@@ -107,6 +107,15 @@ class TestPlans:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             build()
 
+    @pytest.mark.parametrize("build, cause", [
+        (lambda: full_plan(3, 0), "at least one dimension"),
+        (lambda: standard_plan(3, 0), "at least one dimension"),
+        (lambda: modified_plan(3, 2, -1), "psi must be nonnegative"),
+    ])
+    def test_bad_sizes_rejected_with_cause(self, build, cause):
+        with pytest.raises(ValueError, match=cause):
+            build()
+
     @pytest.mark.parametrize("dims", range(1, 7))
     def test_weights_sum_to_one_and_counts_match(self, dims):
         for level in range(dims - 1, 13):
@@ -353,11 +362,14 @@ class TestCombine:
         assert sizes == [2, 2, 2]
 
     def test_pool_forked_after_helper_threads(self):
-        # pricing a large grid in-process starts the helper threads; the
-        # pool forked next must finish, its workers making their own
-        # helpers for the large grids of the plan, and match one worker
-        # bitwise.  A fresh interpreter bounds a hang by its timeout
+        # pricing a large grid in-process starts the helper threads; they
+        # are stopped before the pool forks, so the parent holds no thread
+        # but its own after every fork, and the pool must finish, its
+        # workers making their own helpers for the large grids of the
+        # plan, and match one worker bitwise.  A fresh interpreter bounds
+        # a hang by its timeout
         script = """
+import os, threading
 import ratespde.operator as operator_mod
 from ratespde import CAPLET, AmfrW2Config, DomainSpec, ProductSpec, combine, standard_plan
 from ratespde import solve_component_grids
@@ -367,9 +379,12 @@ market, caplet = make_market(sigma=0.3, phi=0.4), ProductSpec(CAPLET, 1, 2)
 domain = DomainSpec.for_product(market, caplet, f_max=0.04, v_max=3.5)
 cfg = AmfrW2Config(num_steps=1)
 solve_component_grids([(8, 8)], market, caplet, domain, cfg)
-assert operator_mod._helpers[1] is not None
+assert operator_mod._helpers is not None
+counts = []  # the parent's threads after each fork
+os.register_at_fork(after_in_parent=lambda: counts.append(threading.active_count()))
 plan = standard_plan(14, 2)  # every grid of its finest layer is over CSR_MAX_NODES
 print(*(combine(plan, market, caplet, domain, cfg, threads=k).value_bps.hex() for k in (2, 1)))
+assert counts and set(counts) == {1}, counts
 """
         here = Path(__file__).resolve().parent
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))

@@ -99,6 +99,16 @@ class TestScalarSurrogate:
         assert cfg.resolved_nu(4) == pytest.approx(4 * THETA_ORDER3)
         assert AmfrW2Config(num_steps=1, nu=2.0).resolved_nu(4) == 2.0
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_overflowing_update_named(self, sign):
+        # both stages stay finite, near 8e307 and 5e307 in size, while
+        # y + B1 k1 + B2 k2 passes the largest float
+        op, cfg, y = ScalarOp(0.5), AmfrW2Config(num_steps=1), np.array([sign * 1e308])
+        k1 = amfrw2_stage(op, y, (), 1.0, cfg)
+        assert np.isfinite(amfrw2_stage(op, y, (k1,), 1.0, cfg)).all()
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="the step update"):
+            amfrw2_step(op, y, 1.0, cfg)
+
 
 class TestConfigValidation:
     def test_rejects_bad_values(self):
