@@ -34,7 +34,11 @@ threads take the others in turn (``_run``).  Every element does the
 arithmetic it does uncut, so the outputs are bitwise the serial ones.  A
 solve's part is a range of axis 0 of its right-hand sides in chain
 layout: a block of columns or, with no repeats, a run of whole lines.
-The helper threads are stopped before any fork, so no child copies them.
+Neither call copies a whole grid into its output: the calling thread
+writes the frozen faces of a new, uninitialised array, zeros for
+``apply`` and the input's values for a solve, and each part writes its
+own rows of the interior.  The helper threads are stopped before any
+fork, so no child copies them.
 
 The three compiled routines used, LAPACK's ``dpttrf`` and ``dpttrs`` and
 the CSR product ``csr_matvec``, come from scipy's extension modules
@@ -312,11 +316,15 @@ class GridOperator:
         one adds its product to it.  An input is the slab shifted by its
         flat offset in one padded copy of the extended grid; a range's
         program works on its rows of each operand, a coefficient of one row
-        serving every range.  The solves' right-hand sides share the work
-        array of the accumulator.
+        serving every range.  A part ends by copying its rows of the slab's
+        inner nodes, or zeros when every term vanishes, to the output's
+        interior.  The solves' right-hand sides share the work array of the
+        accumulator.
         """
         n, rev = shape.ndim, shape.reversed_points
         self._rev, self._interior = rev, (slice(1, None),) * n
+        # the frozen faces, index 0 on each axis
+        self._faces = [(slice(None),) * a + (0,) for a in range(n)]
         # shifts along the inner axes reach at most ``pad`` nodes past
         # either end of the padded copy
         pad = sum(step[1:])
@@ -333,7 +341,7 @@ class GridOperator:
         acc, buf = scratch[:size].reshape(slab), scratch[size:].reshape(slab)
 
         def program(a: int, z: int) -> functools.partial:
-            """The terms over slab rows a..z - 1."""
+            """The terms over slab rows a..z - 1, and their inner nodes."""
             steps, rows, total = [], (z - a,) + slab[1:], acc[a:z]
             for t, (coef, inputs) in enumerate(terms):
                 work = buf[a:z] if t else total  # the first term sums in the accumulator
@@ -349,12 +357,11 @@ class GridOperator:
                 steps.append((np.multiply, work, coef if shared else coef[a:z], work))
                 if t:
                     steps.append((np.add, total, work, total))
-            return functools.partial(_program, steps)
+            inner = total[(slice(None),) + (slice(1, -1),) * (n - 1)] if terms else 0.0
+            return functools.partial(_program, steps, slice(a, z), inner)
 
         cut = _cut(slab[0], size, self._threads) if terms else [0, slab[0]]
         self._programs = [program(a, z) for a, z in zip(cut, cut[1:])]
-        # the slab's inner nodes, or nothing when every term vanishes
-        self._result = acc[(slice(None),) + (slice(1, -1),) * (n - 1)] if terms else 0.0
         # per diffusive direction, its distinct lines (see __init__), their
         # axis order, and their right-hand sides in the work array in chain
         # layout, cut into ranges of axis 0
@@ -378,9 +385,11 @@ class GridOperator:
         self._nodes[...] = y.reshape(self._rev)
         for ghost, mirror in self._ghosts:
             ghost[...] = mirror
-        _run(self._programs, self._threads)
-        out = np.zeros(y.size)
-        out.reshape(self._rev)[self._interior] = self._result
+        out = np.empty(self.size)
+        view = out.reshape(self._rev)
+        for face in self._faces:
+            view[face] = 0.0
+        _run([functools.partial(p, view[self._interior]) for p in self._programs], self._threads)
         return out
 
     # -- directional resolvent -----------------------------------------
@@ -388,20 +397,23 @@ class GridOperator:
     def solve_directional(self, i: int, w: float, g: np.ndarray) -> np.ndarray:
         """Solve (I - w*A_i) K = g, one tridiagonal system per line.
 
-        Frozen rows are identities, so K = g there.  Each call copies g,
-        scales the interior rows of the direction-i chain into the
-        right-hand sides of its ``_Chain``, factored, checked and bound
-        once per (i, w), makes one ``dpttrs`` solve and writes the solution
-        back.  Small grids gather the rows of every line of every grid,
-        chained with zero couplings, and scatter the solution back; a zero
-        coupling leaves each line's arithmetic unchanged, so a grid's
-        values are bitwise the same alone and in any batch.  A large grid
-        chains only its distinct lines, as lines with equal coefficients
-        share one factor: direction N has a single distinct line, a
-        direction i < N one per V row.  Its lines, transposed to chain
-        layout, are scaled into right-hand sides whose leading axes are
-        the repeats of the chain, in parts, each a range of axis 0 (see
-        ``_Chain``) that scales, solves and writes back its own rows.
+        Frozen rows are identities, so K = g there.  Each call scales the
+        interior rows of the direction-i chain in g into the right-hand
+        sides of its ``_Chain``, factored, checked and bound once per
+        (i, w), makes one ``dpttrs`` solve and writes the solution to the
+        new array K.  Small grids copy g to K, gather the rows of every
+        line of every grid, chained with zero couplings, and scatter the
+        solution back; a zero coupling leaves each line's arithmetic
+        unchanged, so a grid's values are bitwise the same alone and in
+        any batch.  A large grid chains only its distinct lines, as lines
+        with equal coefficients share one factor: direction N has a single
+        distinct line, a direction i < N one per V row.  Its lines,
+        transposed to chain layout, are scaled into right-hand sides whose
+        leading axes are the repeats of the chain, in parts, each a range
+        of axis 0 (see ``_Chain``) that scales its own rows of g, solves
+        them and writes them to K, whose frozen faces alone are copied
+        from g.  With w = 0 or no diffusion in direction i, K is a copy
+        of g.
         """
         g = _vector(g, self.size)
         if self.check_rhs and np.any(g[~np.concatenate([s.inner_mask() for s in self.shapes])]):
@@ -414,17 +426,22 @@ class GridOperator:
                 r, ends, _, b, cut = self._lines[i]
                 chain = _Chain(r, ends, w, b, cut)
             self._factors[(i, w)] = chain
-        out = g.copy()
         if not chain:
-            return out
+            return g.copy()
         r, _, at, _, _ = self._lines[i]
         if self._matrix is not None:  # ``at`` indexes the chained rows
+            out = g.copy()
             np.multiply(out[at], r, chain.b)
             chain.solve()
             out[at] = chain.b
-        else:  # ``at`` is the axis order that chains the lines
-            lines = out.reshape(self._rev)[self._interior].transpose(at)
-            _run([functools.partial(_sweep, lines, *part) for part in chain.parts], self._threads)
+            return out
+        # ``at`` is the axis order that chains the lines
+        out = np.empty(self.size)
+        source, target = g.reshape(self._rev), out.reshape(self._rev)
+        for face in self._faces:
+            target[face] = source[face]
+        lines = [v[self._interior].transpose(at) for v in (source, target)]
+        _run([functools.partial(_sweep, *lines, *part) for part in chain.parts], self._threads)
         return out
 
     def lines_in_direction(self, i: int) -> int:
@@ -551,18 +568,21 @@ def _assemble(nodes: np.ndarray, slab: tuple[int, ...], terms: list, lines: dict
     return vals[keep], reach[keep], counts.reshape(-1), chains
 
 
-def _program(steps: list) -> None:
+def _program(steps: list, rows: slice, result, out: np.ndarray) -> None:
+    """Run one part's steps and copy its ``result`` to ``rows`` of ``out``."""
     for ufunc, a, b, o in steps:
         ufunc(a, b, o)
+    out[rows] = result
 
 
-def _sweep(lines: np.ndarray, rows: slice, r: np.ndarray, b: np.ndarray, *solve) -> None:
-    """Scale ``rows`` of ``lines``, in chain layout, by ``r`` into one part's
-    right-hand sides ``b``, solve and write the solution back."""
-    lines = lines[rows]
-    np.multiply(lines, r, b)
+def _sweep(source: np.ndarray, target: np.ndarray, rows: slice, r: np.ndarray, b: np.ndarray,
+           *solve) -> None:
+    """Scale ``rows`` of the lines ``source``, in chain layout, by ``r`` into
+    one part's right-hand sides ``b``, solve and write the solution to those
+    rows of ``target``."""
+    np.multiply(source[rows], r, b)
     _solve(b, *solve)
-    lines[...] = b
+    target[rows] = b
 
 
 def _vector(y, size: int) -> np.ndarray:

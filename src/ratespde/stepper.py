@@ -141,6 +141,7 @@ def amfrw2_stage(
         k0 = op.apply(x)
         k0 *= dt
         k0 += np.multiply(stages[0], Q21, x)
+        del x  # nothing reads it again; freed before the sweeps
     else:
         k0 = op.apply(y_n)
         k0 *= dt

@@ -327,10 +327,11 @@ class TestDirectionalSolve:
         op.solve_directional(1, 0.1, good)
 
     # sha256 prefixes of solve_directional(i, w, g) for i = 1..N and
-    # w = 0.07, 1.3, on the shapes of TestApply.FROZEN_DIGESTS, recorded
-    # before the solves ran from cached plans; the factor and the solve
-    # run in LAPACK, so the bytes assume an x86-64 build like scipy's
-    # bundled OpenBLAS
+    # w = 0.07, 1.3, on the shapes of TestApply.FROZEN_DIGESTS and
+    # (32, 32, 16), recorded before the solves ran from cached plans and,
+    # for the two large grids, before a solve wrote its output in its
+    # parts; the factor and the solve run in LAPACK, so the bytes assume
+    # an x86-64 build like scipy's bundled OpenBLAS
     FROZEN_DIGESTS = {
         (4, 256): ("a61f93a613dbc642", "1e42a5055a59632b", "74916b806828474c", "dd926de7a5b68cb8"),
         (256, 4): ("04edc4c0585a8e3d", "2de799bd228a0875", "c82654a49c56a76d", "7b412060565e5d68"),
@@ -345,6 +346,10 @@ class TestDirectionalSolve:
             "b46dd2c3a03c827d", "61f1b92cf34142f0", "dbff40e6a74ba0e5", "6154a40c9544f749",
             "e41a5fa29b0aa9bd", "34f672a2a8f508cf", "41511ac38385f117", "35c5eba5070fa775",
         ),
+        # over CSR_MAX_NODES: the distinct lines of one grid, solved in parts
+        (128, 128): ("c7db7e0e2bb179c9", "72c3ff9bbf239d3a", "d6ef0505eb38333b", "d13c136e3095844b"),
+        (32, 32, 16): ("128b67957184ef56", "2e70bf668a7e033f", "56ed542aab61131d",
+                       "4ca0364281e759d2", "be0fb780e2d83d1a", "23c3b4da1ac48bcc"),
     }
 
     @pytest.mark.parametrize("counts", list(FROZEN_DIGESTS))
@@ -432,6 +437,33 @@ class TestDirectionalSolve:
         expected = g.copy()
         expected.reshape(op.shape.reversed_points)[1:, 1:] = rows * r / (r + w)
         assert np.array_equal(op.solve_directional(2, w, g), expected)
+
+    @pytest.mark.parametrize("strided", [False, True])
+    @pytest.mark.parametrize("counts", [(16384, 1), (1, 16384), (128, 129), (20, 25, 31), (8, 8, 16, 16)])
+    def test_large_grid_writes_every_frozen_node(self, monkeypatch, counts, strided):
+        # over CSR_MAX_NODES the outputs are allocated uninitialised; NaN
+        # fills every new float array, so a node that a call skips shows
+        op, *_ = make_operator(counts)
+        assert op.size > operator_mod.CSR_MAX_NODES
+        empty = np.empty
+
+        def filled(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            if out.dtype.kind == "f":
+                out.fill(np.nan)
+            return out
+
+        monkeypatch.setattr(np, "empty", filled)
+        # nonzero frozen rows, which the solve passes through as identities
+        base = np.random.default_rng(7).normal(size=2 * op.size)
+        kept = base.copy()
+        g = base[::2] if strided else base[: op.size]
+        outer = ~op.shape.inner_mask()
+        out = op.apply(g)[outer]
+        assert np.all(out == 0.0) and not np.signbit(out).any()
+        for i in range(1, op.n_directions + 1):
+            assert np.array_equal(op.solve_directional(i, 0.3, g)[outer], g[outer])
+        assert np.array_equal(base, kept)
 
 
 class TestBlockOperator:
