@@ -38,7 +38,7 @@ Neither call copies a whole grid into its output: the calling thread
 writes the frozen faces of a new, uninitialised array, zeros for
 ``apply`` and the input's values for a solve, and each part writes its
 own rows of the interior.  The helper threads are stopped before any
-fork, so no child copies them.
+fork, which waits until the OS has retired them, so no child copies them.
 
 The three compiled routines used, LAPACK's ``dpttrf`` and ``dpttrs`` and
 the CSR product ``csr_matvec``, come from scipy's extension modules
@@ -58,6 +58,7 @@ import math
 import os
 import re
 import threading
+import time
 from dataclasses import dataclass
 from importlib.machinery import PathFinder
 
@@ -83,6 +84,7 @@ _PART_NODES = 2**15
 _processes = 1
 _helpers = None  # the helper threads' pool, made on first use and stopped before a fork
 _helpers_lock = threading.Lock()  # held to make, hand work to or stop the pool
+_helper_ids: list[str] = []  # the helpers' OS thread ids, each recorded as it starts
 
 
 def _cores() -> int:
@@ -103,28 +105,53 @@ def _threads() -> int:
     return max(1, _cores() // _processes)
 
 
+def _os_threads() -> set[str]:
+    """The ids of this process's OS threads, where the OS lists them (``/proc/self/task``)."""
+    try:
+        return set(os.listdir("/proc/self/task"))
+    except OSError:
+        return set()
+
+
+def _await_exit(threads: set[str]) -> None:
+    """Wait, at most 0.1 s, until the OS has retired ``threads``, threads of
+    this process that Python has joined.
+
+    Python counts a thread as joined a little before the OS retires it,
+    and a fork in between copies a process that the OS still counts as
+    threaded, which Python 3.12 warns about.
+    """
+    deadline = time.monotonic() + 0.1
+    while threads & _os_threads() and time.monotonic() < deadline:
+        time.sleep(1e-5)
+
+
 def _stop_helpers() -> None:
-    """Stop the helper threads, once the work handed to them is done, and forget them."""
+    """Stop the helper threads, once the work handed to them is done, and
+    forget them; return once the OS has retired them (``_await_exit``)."""
     global _helpers
     with _helpers_lock:
         if _helpers is not None:
             _helpers.shutdown()
             _helpers = None
+            _await_exit(set(_helper_ids))
+            _helper_ids.clear()
 
 
 if hasattr(os, "register_at_fork"):  # so that no fork, ours or a caller's, copies a helper
     os.register_at_fork(before=_stop_helpers)
 
 
-def _run(tasks: list, threads: int) -> None:
-    """Call each task on this thread or one of ``threads - 1`` helper
-    threads: the first here, the others each on the next thread free.
+def _run(tasks: list) -> None:
+    """Call each task on this thread or one of the helper threads, as
+    many threads in all as ``_threads`` allows: the first here, the others
+    each on the next thread free.
 
     Every task has finished when this returns or raises, as the next call
     reuses the buffers they write.  The helpers are made on first use.
     """
     global _helpers
-    threads = min(threads, len(tasks))
+    threads = min(_threads(), len(tasks))
     rest = iter(tasks[1:])  # one ``next`` call hands each task to one thread
 
     def take() -> None:
@@ -135,7 +162,10 @@ def _run(tasks: list, threads: int) -> None:
         if threads > 1 and _helpers is None:
             from concurrent.futures.thread import ThreadPoolExecutor
 
-            _helpers = ThreadPoolExecutor(max(1, _cores() - 1))
+            _helpers = ThreadPoolExecutor(
+                max(1, _cores() - 1),
+                initializer=lambda: _helper_ids.append(str(threading.get_native_id())),
+            )
         helpers = [_helpers.submit(take) for _ in range(threads - 1)]
     try:
         tasks[0]()
@@ -147,11 +177,11 @@ def _run(tasks: list, threads: int) -> None:
         future.result()
 
 
-def _cut(rows: int, nodes: int, threads: int) -> list[int]:
+def _cut(rows: int, nodes: int) -> list[int]:
     """Bounds of near-equal ranges of ``rows`` rows holding ``nodes`` nodes
-    in all: at least one per thread and per ``_PART_NODES`` nodes, at most
-    one per row."""
-    parts = min(rows, max(threads, math.ceil(nodes / _PART_NODES)))
+    in all: at least one per thread (``_threads``) and per ``_PART_NODES``
+    nodes, at most one per row."""
+    parts = min(rows, max(_threads(), math.ceil(nodes / _PART_NODES)))
     return [rows * p // parts for p in range(parts + 1)]
 
 
@@ -186,8 +216,8 @@ class GridOperator:
     coefficient is zero on the upper faces of its directions.
     ``solve_directional(i, w, g)`` returns K with (I - w*A_i) K = g, A_i
     the direction-i second differences; it requires the frozen rows of g
-    to vanish, which holds for every stage right-hand side and is
-    asserted when ``check_rhs`` is set.  Grids of at most
+    to vanish, which holds for every stage right-hand side, because it
+    chains the interior rows only.  Grids of at most
     ``CSR_MAX_NODES`` nodes, one or many, are assembled one after another
     into one block-diagonal CSR matrix and one chain of lines per
     direction (see ``_assemble``), each grid's rows offset by the nodes
@@ -198,13 +228,7 @@ class GridOperator:
     its arrays alias one another and its chains hold their addresses.
     """
 
-    def __init__(
-        self,
-        market: MarketData,
-        product: ProductSpec,
-        *shapes: GridShape,
-        check_rhs: bool = False,
-    ):
+    def __init__(self, market: MarketData, product: ProductSpec, *shapes: GridShape):
         for shape in shapes:
             if shape.ndim != product.dimension:
                 raise ValueError(
@@ -220,7 +244,6 @@ class GridOperator:
         self.shape = shapes[0] if len(shapes) == 1 else None  # a batch has no one shape
         self.n_directions = n = product.dimension
         self.size = sum(s.total_points for s in shapes)
-        self.check_rhs = check_rhs
         # per diffusive direction i: its chain's row scales, line ends, rows
         # (see solve_directional), right-hand sides and parts' bounds (_Chain)
         self._lines: dict[int, tuple] = {}
@@ -336,7 +359,7 @@ class GridOperator:
             (grid[(slice(None),) * a + (m,)], grid[(slice(None),) * a + (m - 2,)])
             for a, m in enumerate(rev)
         ]
-        lo, size, self._threads = pad + step[0], math.prod(slab), _threads()
+        lo, size = pad + step[0], math.prod(slab)
         scratch = np.empty(2 * size)
         acc, buf = scratch[:size].reshape(slab), scratch[size:].reshape(slab)
 
@@ -360,7 +383,7 @@ class GridOperator:
             inner = total[(slice(None),) + (slice(1, -1),) * (n - 1)] if terms else 0.0
             return functools.partial(_program, steps, slice(a, z), inner)
 
-        cut = _cut(slab[0], size, self._threads) if terms else [0, slab[0]]
+        cut = _cut(slab[0], size) if terms else [0, slab[0]]
         self._programs = [program(a, z) for a, z in zip(cut, cut[1:])]
         # per diffusive direction, its distinct lines (see __init__), their
         # axis order, and their right-hand sides in the work array in chain
@@ -369,7 +392,7 @@ class GridOperator:
             b = scratch[: shape.interior_points].reshape([rev[a] - 1 for a in order])
             m = r.shape[-1]  # a line's rows; every line ends alike, so hold one line's ends
             ends = np.broadcast_to(np.arange(m) == m - 1, r.shape)
-            self._lines[i] = (r, ends, order, b, _cut(b.shape[0], b.size, self._threads))
+            self._lines[i] = (r, ends, order, b, _cut(b.shape[0], b.size))
 
     def __reduce__(self):
         raise TypeError("a GridOperator cannot be copied or pickled")
@@ -389,7 +412,7 @@ class GridOperator:
         view = out.reshape(self._rev)
         for face in self._faces:
             view[face] = 0.0
-        _run([functools.partial(p, view[self._interior]) for p in self._programs], self._threads)
+        _run([functools.partial(p, view[self._interior]) for p in self._programs])
         return out
 
     # -- directional resolvent -----------------------------------------
@@ -416,8 +439,6 @@ class GridOperator:
         of g.
         """
         g = _vector(g, self.size)
-        if self.check_rhs and np.any(g[~np.concatenate([s.inner_mask() for s in self.shapes])]):
-            raise ValueError("right-hand side must vanish on frozen (outer) rows")
         chain = self._factors.get((i, w))
         if chain is None:  # only a valid (i, w) is ever cached
             _check_solve(self.n_directions, i, w)
@@ -428,12 +449,10 @@ class GridOperator:
             self._factors[(i, w)] = chain
         if not chain:
             return g.copy()
-        r, _, at, _, _ = self._lines[i]
-        if self._matrix is not None:  # ``at`` indexes the chained rows
+        at = self._lines[i][2]
+        if self._matrix is not None:  # ``at`` indexes the chained rows, a chain of one part
             out = g.copy()
-            np.multiply(out[at], r, chain.b)
-            chain.solve()
-            out[at] = chain.b
+            _sweep(g, out, at, *chain.parts[0][1:])
             return out
         # ``at`` is the axis order that chains the lines
         out = np.empty(self.size)
@@ -441,7 +460,7 @@ class GridOperator:
         for face in self._faces:
             target[face] = source[face]
         lines = [v[self._interior].transpose(at) for v in (source, target)]
-        _run([functools.partial(_sweep, *lines, *part) for part in chain.parts], self._threads)
+        _run([functools.partial(_sweep, *lines, *part) for part in chain.parts])
         return out
 
     def lines_in_direction(self, i: int) -> int:
@@ -664,11 +683,6 @@ class _Chain:
                 args = (size, ctypes.c_int(block.shape[1]), part_d.ctypes.data,
                         e[at:].ctypes.data, block.ctypes.data, size, info)
             self.parts.append((slice(a, z), r if repeats else r[a:z], b[a:z], part_d, args, info))
-
-    def solve(self) -> None:
-        """Overwrite ``b`` with the solution, one part after another."""
-        for part in self.parts:
-            _solve(*part[2:])
 
 
 def _solve(b: np.ndarray, d: np.ndarray, args: tuple | None, info: ctypes.c_int) -> None:

@@ -34,7 +34,9 @@ from .operator import (
     CSR_MAX_NODES,
     GridOperator,
     StateVector,
+    _await_exit,
     _cores,
+    _os_threads,
     _share_cores,
     initial_state,
     interpolate,
@@ -333,6 +335,7 @@ def combine(
     try:
         if workers > 1 and len(jobs) > 1:
             size = min(workers, len(jobs))
+            before = _os_threads()
             pool = ProcessPoolExecutor(size, mp_context=multiprocessing.get_context("fork"),
                                        initializer=_share_cores, initargs=(size,))
             pending = [pool.submit(_solve_batch, *job).result for job in jobs]
@@ -353,6 +356,7 @@ def combine(
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
+            _await_exit(_os_threads() - before)  # the pool's own threads, before a later fork
     value = 0.0
     for comp in components:
         value += comp.weight * comp.value_bps

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from ratespde import CAPLET, SWAPTION, DomainSpec, MarketData, ProductSpec
@@ -47,6 +52,33 @@ def swaption3():
 @pytest.fixture(scope="session")
 def caplet_domain(market_flat, caplet):
     return DomainSpec.for_product(market_flat, caplet, f_max=0.04, v_max=3.5)
+
+
+def threads_at_forks(body: str) -> list[int]:
+    """Run ``body`` in a fresh interpreter, OpenBLAS held to one thread, and
+    return the OS thread count of that process at each of its forks.
+
+    The count is read by a before-fork hook registered before ``body``
+    imports the engine, so it runs after the engine's own hook: before-fork
+    hooks run in reverse order of registration.
+    """
+    script = """
+import os
+counts = []
+
+def count():
+    with open("/proc/self/stat") as f:
+        counts.append(f.read().rsplit(")", 1)[1].split()[17])  # field 20, num_threads
+
+os.register_at_fork(before=count)
+""" + body + "\nprint(*counts)\n"
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return [int(c) for c in run.stdout.split()]
 
 
 _acceptance_lines: list[str] = []

@@ -29,7 +29,7 @@ from ratespde import (
     payoff,
 )
 
-from conftest import make_market
+from conftest import make_market, threads_at_forks
 from reference import assemble_directional_matrix, assemble_operator_matrix
 
 
@@ -37,7 +37,7 @@ def rng():
     return np.random.default_rng(20240214)
 
 
-def make_operator(shape_counts, *, sigma=0.3, phi=0.4, beta=1.0, n_forwards=None, **kw):
+def make_operator(shape_counts, *, sigma=0.3, phi=0.4, beta=1.0, n_forwards=None):
     dims = len(shape_counts)
     n_forwards = dims - 1 if n_forwards is None else n_forwards
     market = make_market(sigma=sigma, phi=phi, beta=beta)
@@ -45,7 +45,29 @@ def make_operator(shape_counts, *, sigma=0.3, phi=0.4, beta=1.0, n_forwards=None
     product = ProductSpec(kind, 1, 1 + n_forwards)
     bounds = (0.04,) * (dims - 1) + (3.5,)
     shape = GridShape(shape_counts, bounds)
-    return GridOperator(market, product, shape, **kw), market, product, shape
+    return GridOperator(market, product, shape), market, product, shape
+
+
+class FrozenRowsChecked:
+    """A ``SplitOperator`` that passes every call to ``op`` and first checks
+    the precondition of each directional solve: its right-hand side
+    vanishes on the frozen rows of every grid."""
+
+    def __init__(self, op):
+        self.op, self.n_directions, self.solves = op, op.n_directions, 0
+        self.frozen = ~np.concatenate([s.inner_mask() for s in op.shapes])
+
+    def apply(self, y):
+        return self.op.apply(y)
+
+    def solve_directional(self, i, w, g):
+        if np.any(g[self.frozen]):
+            raise AssertionError(f"the right-hand side of a direction-{i} solve is nonzero on a frozen row")
+        self.solves += 1
+        return self.op.solve_directional(i, w, g)
+
+    def lines_in_direction(self, i):
+        return self.op.lines_in_direction(i)
 
 
 def record_factors(monkeypatch):
@@ -318,14 +340,6 @@ class TestDirectionalSolve:
         outer = ~op.shape.inner_mask()
         assert np.all(k[outer] == 0.0)
 
-    def test_frozen_rows_checked_in_debug_mode(self):
-        op, *_ = make_operator((4, 4), check_rhs=True)
-        bad = np.ones(op.shape.total_points)
-        with pytest.raises(ValueError):
-            op.solve_directional(1, 0.1, bad)
-        good = bad * op.shape.inner_mask()
-        op.solve_directional(1, 0.1, good)
-
     # sha256 prefixes of solve_directional(i, w, g) for i = 1..N and
     # w = 0.07, 1.3, on the shapes of TestApply.FROZEN_DIGESTS and
     # (32, 32, 16), recorded before the solves ran from cached plans and,
@@ -387,9 +401,6 @@ class TestDirectionalSolve:
             assert shifts == [0.3, 0.3]  # one factor per valid (i, w), then reused
             with pytest.raises(ValueError):
                 op.solve_directional(1, 0.3, g[:-1])
-            op.check_rhs = True
-            with pytest.raises(ValueError, match="frozen"):
-                op.solve_directional(1, 0.3, g + 1.0)
 
     def test_factor_cache_reused_and_consistent(self, monkeypatch):
         shifts = record_factors(monkeypatch)
@@ -466,6 +477,29 @@ class TestDirectionalSolve:
         assert np.array_equal(base, kept)
 
 
+class TestFrozenRows:
+    """Every stage right-hand side vanishes on the frozen rows, as the
+    directional solves, which chain the interior rows only, require."""
+
+    # a small grid, a batch of small grids and a grid over CSR_MAX_NODES
+    @pytest.mark.parametrize("grids", [[(8, 6)], [(4, 4), (3, 5), (2, 6)], [(128, 130)]],
+                             ids=["small", "batch", "large"])
+    def test_integrate_meets_the_solve_precondition(self, grids):
+        market, product = make_market(sigma=0.3, phi=0.4), ProductSpec(CAPLET, 1, 2)
+        shapes = [GridShape(counts, (0.04, 3.5)) for counts in grids]
+        op = GridOperator(market, product, *shapes)
+        y0 = np.concatenate([initial_state(market, product, s).values for s in shapes])
+        checked = FrozenRowsChecked(op)
+        cfg = AmfrW2Config(num_steps=3)
+        y = integrate(checked, y0, 0.5, cfg)
+        assert checked.solves == 3 * 2 * 2 * op.n_directions  # steps, stages, sweeps, directions
+        assert np.array_equal(y, integrate(op, y0, 0.5, cfg))
+        bad = np.zeros(op.size)
+        bad[np.flatnonzero(checked.frozen)[-1]] = 1.0
+        with pytest.raises(AssertionError, match="frozen"):
+            checked.solve_directional(1, 0.1, bad)
+
+
 class TestBlockOperator:
     """Small grids batched in one ``GridOperator``: a block-diagonal system."""
 
@@ -529,18 +563,6 @@ class TestBlockOperator:
         for w in (math.nan, -0.1, math.inf):
             with pytest.raises(ValueError, match="shift"):
                 block.solve_directional(1, w, g)
-
-    def test_frozen_rows_checked_in_every_grid(self):
-        _, market, product, first = make_operator((4, 4))
-        second = make_operator((3, 5))[3]
-        block = GridOperator(market, product, first, second, check_rhs=True)
-        mask = np.concatenate([first.inner_mask(), second.inner_mask()])
-        good = rng().normal(size=block.size) * mask
-        block.solve_directional(1, 0.1, good)
-        bad = good.copy()
-        bad[first.total_points + np.flatnonzero(~second.inner_mask())[-1]] = 1.0
-        with pytest.raises(ValueError, match="frozen"):
-            block.solve_directional(1, 0.1, bad)
 
 
 class TestParts:
@@ -612,6 +634,30 @@ class TestParts:
             monkeypatch.setattr(operator_mod, "_processes", processes)
             assert operator_mod._threads() == threads
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="no thread count here")
+    def test_no_helper_left_at_a_fork(self):
+        # a helper that Python has joined can still be an OS thread for a
+        # moment; the engine's before-fork hook waits until it is gone, so
+        # every fork finds this process on its one thread
+        counts = threads_at_forks("""
+import numpy as np
+import ratespde.operator as operator_mod
+from ratespde import CAPLET, GridOperator, GridShape, ProductSpec
+from conftest import make_market
+operator_mod._threads = lambda: 2
+shape = GridShape((256, 256), (0.04, 3.5))
+op = GridOperator(make_market(sigma=0.3, phi=0.4), ProductSpec(CAPLET, 1, 2), shape)
+y = np.ones(op.size)
+for _ in range(200):
+    op.apply(y)  # on two threads, which makes the helpers again
+    assert operator_mod._helpers is not None
+    pid = os.fork()
+    if pid == 0:
+        os._exit(0)
+    os.waitpid(pid, 0)
+""")
+        assert counts == [1] * 200
+
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
     def test_one_part_when_confined_to_one_core(self):
         # as under ``taskset -c 0``: the affinity set, not the machine, counts
@@ -635,6 +681,12 @@ class TestCompiledRoutines:
         ends[np.cumsum(sizes) - 1] = True
         return np.random.default_rng(seed + 1).uniform(0.5, 4.0, ends.size), ends
 
+    @staticmethod
+    def solve(chain):
+        """Overwrite the chain's right-hand sides with the solution, part after part."""
+        for part in chain.parts:
+            operator_mod._solve(*part[2:])
+
     # 40 lines of 1 to 4 rows, zero couplings between them, with one and
     # with seven right-hand sides; a chain of one line of two rows
     @pytest.mark.parametrize("lines, columns", [(40, 1), (40, 7), (0, 3)])
@@ -654,10 +706,10 @@ class TestCompiledRoutines:
         chain = operator_mod._Chain(r, ends, w, rhs)
         assert chain.b is rhs
         assert np.array_equal(chain.d, d1) and np.array_equal(chain.e, e1)
-        chain.solve()
+        self.solve(chain)
         assert rhs.flags.c_contiguous and np.array_equal(rhs, x1.T)
         x = rhs[0].copy()
-        operator_mod._Chain(r, ends, w, x).solve()
+        self.solve(operator_mod._Chain(r, ends, w, x))
         assert np.array_equal(x, lapack.dpttrs(d1, e1, rhs[0])[0])
 
     @staticmethod
@@ -698,8 +750,7 @@ class TestCompiledRoutines:
         r, w = np.array([0.8]), 0.37
         b = np.random.default_rng(5).normal(size=shape)
         expected = b / (r[0] + w)
-        chain = operator_mod._Chain(r, np.array([True]), w, b)
-        chain.solve()
+        self.solve(operator_mod._Chain(r, np.array([True]), w, b))
         assert np.array_equal(b, expected)
 
     def test_csr_product_equal_to_scipy(self):

@@ -13,7 +13,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ratespde import SWAPTION, GridOperator, GridShape, ProductSpec, parse_config, run
+from ratespde import (
+    SWAPTION,
+    AmfrW2Config,
+    DomainSpec,
+    GridOperator,
+    GridShape,
+    ProductSpec,
+    combine,
+    parse_config,
+    run,
+    standard_plan,
+)
 
 from conftest import make_market
 
@@ -35,6 +46,26 @@ def test_config_first_level_price(name, level, steps, price_bps):
     (row,) = run(cfg, quiet=True)
     assert (row.level, row.steps) == (level, steps)
     assert row.solution_bps == pytest.approx(price_bps, rel=REL, abs=0.0)
+
+
+# swaptions on 3 to 5 forwards: the drift terms and the many cross terms
+# of 4- to 6-dimensional stencils.  They pin the engine's output, not its
+# accuracy, as the plain plan is pre-asymptotic at these levels
+@pytest.mark.parametrize(
+    "dims,level,price_bps",
+    [
+        (4, 5, 30.18160481372952),
+        (5, 5, 9.872405921068875),
+        (6, 6, 51.170175043084086),
+    ],
+)
+def test_high_dimensional_swaption_price(dims, level, price_bps):
+    market = make_market(sigma=0.3, phi=0.4, lam=0.1)
+    product = ProductSpec(SWAPTION, 1, dims)
+    domain = DomainSpec.for_product(market, product, 0.04, 3.5)
+    result = combine(standard_plan(level, dims), market, product, domain, AmfrW2Config(num_steps=2),
+                     threads=1)
+    assert result.value_bps == pytest.approx(price_bps, rel=REL, abs=0.0)
 
 
 def test_sv_operator_apply():

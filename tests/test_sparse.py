@@ -28,7 +28,7 @@ from ratespde import (
     standard_plan,
 )
 
-from conftest import make_market
+from conftest import make_market, threads_at_forks
 
 
 def union_count_bruteforce(plan) -> int:
@@ -393,6 +393,23 @@ assert counts and set(counts) == {1}, counts
         assert run.returncode == 0, run.stderr
         pooled, alone = run.stdout.split()
         assert pooled == alone
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="no thread count here")
+    def test_no_pool_thread_left_at_the_next_fork(self):
+        # the threads of a pool that has shut down can still be OS threads
+        # for a moment; ``combine`` returns once they are gone, so the next
+        # pool's forks find this process on its one thread
+        counts = threads_at_forks("""
+import ratespde.sparse as sparse_mod
+from ratespde import CAPLET, AmfrW2Config, DomainSpec, ProductSpec, combine, standard_plan
+from conftest import make_market
+market, caplet = make_market(sigma=0.3, phi=0.4), ProductSpec(CAPLET, 1, 2)
+domain = DomainSpec.for_product(market, caplet, f_max=0.04, v_max=3.5)
+sparse_mod._cores = lambda: 2  # two workers, whatever the machine
+for _ in range(50):
+    combine(standard_plan(4, 2), market, caplet, domain, AmfrW2Config(num_steps=1), threads=2)
+""")
+        assert counts == [1] * 100  # two workers forked per call
 
     def test_nonpositive_threads_rejected(self, market_flat, caplet, caplet_domain):
         for threads in (0, -3):
