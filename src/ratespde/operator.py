@@ -16,14 +16,15 @@ ndarray whose *last* axis is direction 1, so all stencils are evaluated
 with numpy slice arithmetic, each operator building the time-independent
 discretisation once.  Each directional solve scales the rows of its
 lines by 1/d_j to a symmetric positive definite tridiagonal system and
-makes one LAPACK solve over the lines chained, from a factor cached per
-(direction, shift).  One ``GridOperator`` serves one grid or a batch of
-small grids, and the grids' size picks one of two regimes.  Grids of at
-most ``CSR_MAX_NODES`` nodes, alone or batched, are one block-diagonal
-CSR matrix and one gathered chain of all their lines.  A larger grid,
-always alone, is a flat program of ufunc calls on prebuilt views of one
-padded copy of the input, extended by the ghost layer, and one chain of
-its distinct lines whose repeats are the solve's columns.
+solves it with LAPACK, per grid one chain of its distinct lines, factored
+once per (direction, shift), whose repeated lines are the solve's
+right-hand-side columns.  One ``GridOperator`` serves one grid or a batch
+of small grids, and the grids' size picks how ``apply`` runs.  Grids of
+at most ``CSR_MAX_NODES`` nodes, alone or batched, are one block-diagonal
+CSR matrix, and a solve gathers the rows of all their lines into one
+buffer.  A larger grid, always alone, is a flat program of ufunc calls on
+prebuilt views of one padded copy of the input, extended by the ghost
+layer.
 
 A large grid cuts each unit of work, ``apply``'s program and each
 directional solve, into parts, ranges of its outer axis: at least one
@@ -219,13 +220,13 @@ class GridOperator:
     to vanish, which holds for every stage right-hand side, because it
     chains the interior rows only.  Grids of at most
     ``CSR_MAX_NODES`` nodes, one or many, are assembled one after another
-    into one block-diagonal CSR matrix and one chain of lines per
-    direction (see ``_assemble``), each grid's rows offset by the nodes
-    before it.  A larger grid compiles its terms into one flat program
+    into one block-diagonal CSR matrix (see ``_assemble``), each grid's
+    rows offset by the nodes before it, and per direction one buffer of
+    their lines' rows.  A larger grid compiles its terms into one flat program
     (see ``_compile``) and is never batched.  Both methods return a new
     array; an instance must not serve concurrent calls, because every
     call works in arrays the instance owns, nor be copied or pickled, as
-    its arrays alias one another and its chains hold their addresses.
+    its arrays alias one another and its chains' parts hold their addresses.
     """
 
     def __init__(self, market: MarketData, product: ProductSpec, *shapes: GridShape):
@@ -244,13 +245,15 @@ class GridOperator:
         self.shape = shapes[0] if len(shapes) == 1 else None  # a batch has no one shape
         self.n_directions = n = product.dimension
         self.size = sum(s.total_points for s in shapes)
-        # per diffusive direction i: its chain's row scales, line ends, rows
-        # (see solve_directional), right-hand sides and parts' bounds (_Chain)
+        # per diffusive direction i: where its lines lie in the input (see
+        # solve_directional), a batch's row scales and buffer, and per grid
+        # its chain's distinct lines, right-hand sides and parts' bounds (_Chain)
         self._lines: dict[int, tuple] = {}
-        # per valid (i, w) its factored chain, False where nothing is solved
-        self._factors: dict[tuple[int, float], _Chain | bool] = {}
+        # per valid (i, w) its chains' parts, False where nothing is solved
+        self._factors: dict[tuple[int, float], list | bool] = {}
         self._matrix = None  # the small grids' CSR arrays (indptr, columns, values)
-        pieces, start = [], 0  # each small grid's part (see _assemble), its first node
+        pieces, start = [], 0  # each small grid's CSR part (see _assemble), its first node
+        small_lines: dict[int, list] = {}  # per direction, each small grid's (r, interior rows)
         for shape in shapes:  # each grid's discretisation is let go before the next
             rev, h = shape.reversed_points, shape.spacings
             # The extended grid adds a ghost hyperplane past every upper
@@ -313,21 +316,27 @@ class GridOperator:
                 add(coef / (2.0 * h[i - 1]) * below[i], (1, {i: 1}), (-1, {i: -1}))
             if small:
                 nodes = np.arange(start, start + shape.total_points, dtype=np.int32).reshape(rev)
-                pieces.append(_assemble(nodes, slab, terms, lines))
+                pieces.append(_assemble(nodes, slab, terms))
+                for i, (order, r) in lines.items():
+                    small_lines.setdefault(i, []).append((r, nodes[(slice(1, None),) * n].transpose(order)))
                 start += shape.total_points
             else:
                 self._compile(shape, ext, slab, step, terms, lines)
         if small:
-            # one block-diagonal matrix, and per direction one chain of the
-            # lines of every grid, grid after grid
-            values, columns, counts, chains = zip(*pieces)
+            # one block-diagonal matrix, and per direction one buffer of the
+            # rows of every grid's lines in chain layout, grid after grid,
+            # each grid's run the right-hand sides of its own chain
+            values, columns, counts = zip(*pieces)
             indptr = np.concatenate([np.zeros(1, dtype=np.int32),
                                      np.cumsum(np.concatenate(counts), dtype=np.int32)])
             self._matrix = _csr(np.concatenate(values), np.concatenate(columns), indptr, self.size)
-            for i in range(1, n + 1):
-                if own := [grid[i] for grid in chains if i in grid]:
-                    r, ends, rows = map(np.concatenate, zip(*own))
-                    self._lines[i] = (r, ends, rows, np.empty(r.size), None)
+            for i, own in small_lines.items():
+                rows = np.concatenate([at.reshape(-1) for _, at in own]).astype(np.intp)
+                scales = np.concatenate([np.broadcast_to(r, at.shape).reshape(-1) for r, at in own])
+                b = np.empty(rows.size)
+                runs = np.split(b, np.cumsum([at.size for _, at in own])[:-1])
+                grids = [(r, run.reshape(at.shape), None) for (r, at), run in zip(own, runs)]
+                self._lines[i] = (rows, scales, b, grids)
 
     def _compile(self, shape: GridShape, ext: tuple, slab: tuple, step: list, terms: list,
                  lines: dict) -> None:
@@ -385,14 +394,12 @@ class GridOperator:
 
         cut = _cut(slab[0], size) if terms else [0, slab[0]]
         self._programs = [program(a, z) for a, z in zip(cut, cut[1:])]
-        # per diffusive direction, its distinct lines (see __init__), their
-        # axis order, and their right-hand sides in the work array in chain
+        # per diffusive direction, the axis order of its distinct lines (see
+        # __init__), and their right-hand sides in the work array in chain
         # layout, cut into ranges of axis 0
         for i, (order, r) in lines.items():
             b = scratch[: shape.interior_points].reshape([rev[a] - 1 for a in order])
-            m = r.shape[-1]  # a line's rows; every line ends alike, so hold one line's ends
-            ends = np.broadcast_to(np.arange(m) == m - 1, r.shape)
-            self._lines[i] = (r, ends, order, b, _cut(b.shape[0], b.size))
+            self._lines[i] = (order, None, None, [(r, b, _cut(b.shape[0], b.size))])
 
     def __reduce__(self):
         raise TypeError("a GridOperator cannot be copied or pickled")
@@ -420,39 +427,40 @@ class GridOperator:
     def solve_directional(self, i: int, w: float, g: np.ndarray) -> np.ndarray:
         """Solve (I - w*A_i) K = g, one tridiagonal system per line.
 
-        Frozen rows are identities, so K = g there.  Each call scales the
-        interior rows of the direction-i chain in g into the right-hand
-        sides of its ``_Chain``, factored, checked and bound once per
-        (i, w), makes one ``dpttrs`` solve and writes the solution to the
-        new array K.  Small grids copy g to K, gather the rows of every
-        line of every grid, chained with zero couplings, and scatter the
-        solution back; a zero coupling leaves each line's arithmetic
-        unchanged, so a grid's values are bitwise the same alone and in
-        any batch.  A large grid chains only its distinct lines, as lines
-        with equal coefficients share one factor: direction N has a single
-        distinct line, a direction i < N one per V row.  Its lines,
-        transposed to chain layout, are scaled into right-hand sides whose
-        leading axes are the repeats of the chain, in parts, each a range
-        of axis 0 (see ``_Chain``) that scales its own rows of g, solves
-        them and writes them to K, whose frozen faces alone are copied
-        from g.  With w = 0 or no diffusion in direction i, K is a copy
-        of g.
+        Frozen rows are identities, so K = g there.  Each grid chains only
+        its distinct lines, as lines with equal coefficients share one
+        factor: direction N has a single distinct line, a direction i < N
+        one per V row.  Each call scales the interior rows of the
+        direction-i lines in g, in chain layout, into the right-hand sides
+        of each grid's ``_Chain``, factored, checked and bound once per
+        (i, w), whose leading axes are the repeats of the chain, solves
+        them with ``dpttrs`` and writes the solution to the new array K.
+        Small grids copy g to K, gather and scale the rows of every grid
+        into one buffer, make one ``dpttrs`` call per grid on its run of
+        the buffer and scatter the solution back, so a grid's values are
+        bitwise the same alone and in any batch.  A large grid's solve
+        runs in parts, each a range of axis 0 (see ``_Chain``) that scales
+        its own rows of g, solves them and writes them to K, whose frozen
+        faces alone are copied from g.  With w = 0 or no diffusion in
+        direction i, K is a copy of g.
         """
         g = _vector(g, self.size)
-        chain = self._factors.get((i, w))
-        if chain is None:  # only a valid (i, w) is ever cached
+        parts = self._factors.get((i, w))
+        if parts is None:  # only a valid (i, w) is ever cached
             _check_solve(self.n_directions, i, w)
-            chain = False
+            parts = False
             if w != 0.0 and i in self._lines:
-                r, ends, _, b, cut = self._lines[i]
-                chain = _Chain(r, ends, w, b, cut)
-            self._factors[(i, w)] = chain
-        if not chain:
+                parts = [part for r, b, cut in self._lines[i][3] for part in _Chain(r, w, b, cut).parts]
+            self._factors[(i, w)] = parts
+        if not parts:
             return g.copy()
-        at = self._lines[i][2]
-        if self._matrix is not None:  # ``at`` indexes the chained rows, a chain of one part
+        at, scales, b, _ = self._lines[i]
+        if self._matrix is not None:  # ``at`` indexes the rows in ``b``, one part per grid
             out = g.copy()
-            _sweep(g, out, at, *chain.parts[0][1:])
+            np.multiply(g[at], scales, b)
+            for part in parts:
+                _solve(*part[2:])
+            out[at] = b
             return out
         # ``at`` is the axis order that chains the lines
         out = np.empty(self.size)
@@ -460,7 +468,7 @@ class GridOperator:
         for face in self._faces:
             target[face] = source[face]
         lines = [v[self._interior].transpose(at) for v in (source, target)]
-        _run([functools.partial(_sweep, *lines, *part) for part in chain.parts])
+        _run([functools.partial(_sweep, *lines, *part) for part in parts])
         return out
 
     def lines_in_direction(self, i: int) -> int:
@@ -536,8 +544,8 @@ def _csr(values: np.ndarray, columns: np.ndarray, indptr: np.ndarray, size: int)
     return indptr, columns, values
 
 
-def _assemble(nodes: np.ndarray, slab: tuple[int, ...], terms: list, lines: dict) -> tuple:
-    """One small grid's part: (values, columns, counts, chains).
+def _assemble(nodes: np.ndarray, slab: tuple[int, ...], terms: list) -> tuple:
+    """One small grid's part of the CSR matrix: (values, columns, counts).
 
     ``nodes`` numbers the grid's nodes in view layout, after the nodes of
     the grids before it.  The CSR entries hold the terms over every node,
@@ -550,22 +558,11 @@ def _assemble(nodes: np.ndarray, slab: tuple[int, ...], terms: list, lines: dict
     entries are +-coef and -2 coef summing to zero, so on a constant the
     row sum returns exactly to zero after every term and the product
     annihilates constants, as the program does.
-
-    Per diffusive direction i, the chain is (scales, ends, rows): each
-    row's scale, True on the last row of each line, and the interior rows
-    of every direction-i line, line after line in the axis order of
-    ``lines``.
     """
     rev = nodes.shape
-    interior, chains = nodes[(slice(1, None),) * len(rev)], {}
-    for i, (order, r) in lines.items():
-        rows = interior.transpose(order)
-        m = rows.shape[-1]
-        chains[i] = (np.broadcast_to(r, rows.shape).reshape(-1), np.arange(rows.size) % m == m - 1,
-                     rows.reshape(-1).astype(np.intp))
     counts = np.zeros(rev, dtype=np.int32)
     if not terms:
-        return np.zeros(0), np.zeros(0, dtype=np.int32), counts.reshape(-1), chains
+        return np.zeros(0), np.zeros(0, dtype=np.int32), counts.reshape(-1)
     # node index over the ghost-extended grid, the ghost mirrored onto
     # M - 1, and the extended grid's flat index of each interior node
     ext = nodes[np.ix_(*[np.append(np.arange(m), m - 2) for m in rev])]
@@ -583,8 +580,8 @@ def _assemble(nodes: np.ndarray, slab: tuple[int, ...], terms: list, lines: dict
     coefs = np.stack([np.broadcast_to(coef, slab)[inner] for coef, _ in terms], -1)
     vals = coefs.reshape(-1, len(terms))[:, of_term] * weights
     keep = vals != 0.0
-    counts[(slice(1, None),) * len(rev)] = keep.sum(1).reshape(interior.shape)
-    return vals[keep], reach[keep], counts.reshape(-1), chains
+    counts[(slice(1, None),) * len(rev)] = keep.sum(1).reshape([m - 1 for m in rev])
+    return vals[keep], reach[keep], counts.reshape(-1)
 
 
 def _program(steps: list, rows: slice, result, out: np.ndarray) -> None:
@@ -620,32 +617,32 @@ def _check_solve(n: int, i: int, w: float) -> None:
 
 
 class _Chain:
-    """Chained lines of I - w*A_i, rows scaled by r, factored once and
-    bound, in parts, to the right-hand sides ``b``.
+    """One grid's distinct lines of I - w*A_i, rows scaled by r, factored
+    once and bound, in parts, to the right-hand sides ``b``.
 
-    ``ends`` marks the last row of each line, its Neumann row.  Row j,
-    (1 + 2wd_j) x_j - wd_j (x_{j-1} + x_{j+1}), times r_j = 1/d_j has
+    ``r``'s last axis is a line, whose last row is its Neumann row.  Row
+    j, (1 + 2wd_j) x_j - wd_j (x_{j-1} + x_{j+1}), times r_j = 1/d_j has
     diagonal r_j + 2w and off-diagonals -w; the Neumann row (-2wd_M on its
     lower neighbour) times r_M = 1/(2d_M) has diagonal r_M + w.  Rows of
     different lines couple with zero.
 
     ``b`` is in chain layout, C-ordered: trailing axes shaped as ``r``,
-    leading axes, if any, the repeats of the chain.  ``dpttrf`` and
-    ``dpttrs`` trust their pointers, so the constructor checks once what
-    scipy's wrappers checked on every call: float64 ``r``, ``b``, ``d``
-    and ``e`` (typed by ``w``), ``b``'s shape, sizes that fit a C int, and
-    ``b``, writable and C-contiguous.  The chain keeps ``d``, ``e`` and
-    ``b``, whose addresses it passes.
+    leading axes, if any, the repeats of the lines, each a column.
+    ``dpttrf`` and ``dpttrs`` trust their pointers, so the constructor
+    checks once what scipy's wrappers checked on every call: float64
+    ``r``, ``b``, ``d`` and ``e`` (typed by ``w``), ``b``'s shape, sizes
+    that fit a C int, and ``b``, writable and C-contiguous.
 
     ``cut`` bounds the parts (one if None), ranges of axis 0 of ``b`` and,
     with no repeats, of ``r``, whose rows are whole lines: blocks of
     right-hand sides or runs of lines, whose factor is the slice of the
     chain's, as the lines couple with zero.  Each is solved apart with its
-    own ``info`` and holds arrays and ``ctypes`` values only, no chain.
+    own ``info``, holds every array whose address it passes, ``b``, ``d``
+    and ``e``, and holds no chain, so it outlives the chain.
     """
 
-    def __init__(self, r: np.ndarray, ends: np.ndarray, w: float, b: np.ndarray, cut=None):
-        n = r.size
+    def __init__(self, r: np.ndarray, w: float, b: np.ndarray, cut=None):
+        n, m = r.size, r.shape[-1]
         if b.shape[b.ndim - r.ndim :] != r.shape:
             raise ValueError(f"a chain of rows shaped {r.shape} has right-hand sides of shape {b.shape}")
         if max(n, b.size // n) > _INT_MAX:
@@ -654,14 +651,13 @@ class _Chain:
             raise ValueError("a tridiagonal system needs contiguous, C-ordered right-hand sides")
         if not b.flags.writeable:
             raise ValueError("the right-hand sides of a tridiagonal solve must be writable")
-        flat, ends = r.reshape(-1), ends.reshape(-1)
-        self.d = d = flat + 2.0 * w
-        d[ends] = flat[ends] + w
+        d = r + 2.0 * w
+        d[..., -1] = r[..., -1] + w
+        self.d = d = d.reshape(-1)
         self.e = e = np.full(n - 1, -w)
-        e[ends[:-1]] = 0.0  # a row couples to its neighbours on the same line only
+        e[m - 1 :: m] = 0.0  # a row couples to its neighbours on the same line only
         if not r.dtype == b.dtype == d.dtype == e.dtype == np.float64:
             raise ValueError("a tridiagonal system needs float64 arrays and shift")
-        self.b = b
         if n > 1:
             info = ctypes.c_int()
             _dpttrf(ctypes.c_int(n), d.ctypes.data, e.ctypes.data, info)
@@ -673,7 +669,7 @@ class _Chain:
         self.parts = []
         for a, z in zip(cut, cut[1:]):  # per part, its first row in the chain and its rows
             at, rows = (0, n) if repeats else (a * b[0].size, (z - a) * b[0].size)
-            part_d, info, args = d[at : at + rows], ctypes.c_int(), None
+            part_d, part_e, info, args = d[at : at + rows], e[at:], ctypes.c_int(), None
             # a part of one row is its own factor and is divided in numpy, as
             # ``dpttrs`` divides each row of a longer chain (it would multiply
             # this one by 1/d), so a row's bits do not depend on its part
@@ -681,12 +677,13 @@ class _Chain:
                 block = b[a:z].reshape(-1, rows).T  # Fortran-ordered, one column per right-hand side
                 size = ctypes.c_int(rows)
                 args = (size, ctypes.c_int(block.shape[1]), part_d.ctypes.data,
-                        e[at:].ctypes.data, block.ctypes.data, size, info)
-            self.parts.append((slice(a, z), r if repeats else r[a:z], b[a:z], part_d, args, info))
+                        part_e.ctypes.data, block.ctypes.data, size, info)
+            self.parts.append((slice(a, z), r if repeats else r[a:z], b[a:z], part_d, part_e, args, info))
 
 
-def _solve(b: np.ndarray, d: np.ndarray, args: tuple | None, info: ctypes.c_int) -> None:
-    """Overwrite the right-hand sides ``b`` of one part of a chain with the solution."""
+def _solve(b: np.ndarray, d: np.ndarray, e: np.ndarray, args: tuple | None, info: ctypes.c_int) -> None:
+    """Overwrite the right-hand sides ``b`` of one part of a chain with the
+    solution; ``args`` passes the addresses of ``b`` and of the factor ``d``, ``e``."""
     if args is None:
         b /= d
         return

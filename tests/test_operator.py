@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import hashlib
 import math
 import os
@@ -71,16 +72,16 @@ class FrozenRowsChecked:
 
 
 def record_factors(monkeypatch):
-    """The shift of every tridiagonal chain factored from now on, in order."""
-    shifts = []
+    """The shift and row count of every tridiagonal chain factored from now on, in order."""
+    factors = []
     build = operator_mod._Chain
 
-    def recorded(r, ends, w, b, *cut):
-        shifts.append(w)
-        return build(r, ends, w, b, *cut)
+    def recorded(r, w, b, *cut):
+        factors.append((w, r.size))
+        return build(r, w, b, *cut)
 
     monkeypatch.setattr(operator_mod, "_Chain", recorded)
-    return shifts
+    return factors
 
 
 def assert_only_diffusion_block(op, i):
@@ -379,12 +380,12 @@ class TestDirectionalSolve:
             digests = tuple(hashlib.sha256(o.tobytes()).hexdigest()[:16] for o in outs)
             assert digests == self.FROZEN_DIGESTS[counts]
 
-    # the next two tests run a small grid, which solves a gathered chain,
-    # and (128, 128), over CSR_MAX_NODES, which solves its distinct lines
+    # the next two tests run a small grid, whose solve gathers its rows,
+    # and (128, 128), over CSR_MAX_NODES, whose solve runs in parts
     def test_bad_input_rejected_after_valid_call_cached(self, monkeypatch):
-        shifts = record_factors(monkeypatch)
+        factors = record_factors(monkeypatch)
         for counts in [(5, 4), (128, 128)]:
-            shifts.clear()
+            factors.clear()
             op, *_ = make_operator(counts)
             g = rng().normal(size=op.shape.total_points) * op.shape.inner_mask()
             for i in (1, 2):
@@ -398,20 +399,20 @@ class TestDirectionalSolve:
                         op.solve_directional(1, w, g)
             for i in (1, 2):
                 op.solve_directional(i, 0.3, g)
-            assert shifts == [0.3, 0.3]  # one factor per valid (i, w), then reused
+            assert [w for w, _ in factors] == [0.3, 0.3]  # one factor per valid (i, w), then reused
             with pytest.raises(ValueError):
                 op.solve_directional(1, 0.3, g[:-1])
 
     def test_factor_cache_reused_and_consistent(self, monkeypatch):
-        shifts = record_factors(monkeypatch)
+        factors = record_factors(monkeypatch)
         for counts in [(8, 8), (128, 128)]:
-            shifts.clear()
+            factors.clear()
             op, *_ = make_operator(counts)
             g = rng().normal(size=op.shape.total_points) * op.shape.inner_mask()
             first = op.solve_directional(1, 0.2, g)
-            assert shifts == [0.2]
+            assert factors == [(0.2, op.shape.interior_points)]  # direction 1: no repeated line
             second = op.solve_directional(1, 0.2, g)
-            assert shifts == [0.2]
+            assert factors == [(0.2, op.shape.interior_points)]
             assert np.array_equal(first, second)
 
     def test_operator_refuses_copying(self):
@@ -542,6 +543,17 @@ class TestBlockOperator:
                     expected = np.concatenate([op.solve_directional(i, w, part) for op, part in parts])
                     assert np.array_equal(block.solve_directional(i, w, g), expected)
 
+    def test_each_grid_factors_its_distinct_lines(self, monkeypatch):
+        # direction 2's lines repeat along direction 1: each grid factors
+        # one line, its repeats the columns of its right-hand sides
+        factors = record_factors(monkeypatch)
+        market, product = make_market(sigma=0.3, phi=0.4), ProductSpec(CAPLET, 1, 2)
+        shapes = [GridShape(counts, (0.04, 3.5)) for counts in [(64, 8), (8, 64)]]
+        block = GridOperator(market, product, *shapes)
+        g = rng().normal(size=block.size) * np.concatenate([s.inner_mask() for s in shapes])
+        block.solve_directional(2, 0.3, g)
+        assert factors == [(0.3, 8), (0.3, 64)]
+
     def test_line_counts_add_up(self):
         ops, block = self.parts(3)
         for i in (1, 2, 3):
@@ -589,7 +601,7 @@ class TestParts:
             for i in range(1, op.n_directions + 1):
                 for w in (0.07, 1.3):
                     outs.append(op.solve_directional(i, w, g))
-                    assert len(op._factors[(i, w)].parts) >= threads
+                    assert len(op._factors[(i, w)]) >= threads
             y0 = initial_state(market, product, shape).values
             outs.append(integrate(op, y0, 0.5, AmfrW2Config(num_steps=2)))
             outputs.append([o.tobytes() for o in outs])
@@ -674,12 +686,9 @@ class TestCompiledRoutines:
     ``csr_matvec`` as the operator calls it, against scipy's own wrappers."""
 
     @staticmethod
-    def chain(lines, seed=3):
-        """Row scales and line ends of a chain of lines of 1 to 4 rows."""
-        sizes = np.random.default_rng(seed).integers(1, 5, size=lines)
-        ends = np.zeros(int(sizes.sum()), dtype=bool)
-        ends[np.cumsum(sizes) - 1] = True
-        return np.random.default_rng(seed + 1).uniform(0.5, 4.0, ends.size), ends
+    def chain(lines, rows, seed=3):
+        """Row scales of a chain of ``lines`` lines of ``rows`` rows."""
+        return np.random.default_rng(seed).uniform(0.5, 4.0, (lines, rows))
 
     @staticmethod
     def solve(chain):
@@ -687,30 +696,47 @@ class TestCompiledRoutines:
         for part in chain.parts:
             operator_mod._solve(*part[2:])
 
-    # 40 lines of 1 to 4 rows, zero couplings between them, with one and
-    # with seven right-hand sides; a chain of one line of two rows
+    # 40 lines of three rows and 40 of one row, zero couplings between
+    # them, with one and with seven right-hand sides; one line of two rows
     @pytest.mark.parametrize("lines, columns", [(40, 1), (40, 7), (0, 3)])
     def test_bitwise_equal_to_scipy(self, lines, columns):
-        r, ends = self.chain(lines) if lines else (np.array([1.5, 0.8]), np.array([False, True]))
         w = 0.37
-        b = np.asfortranarray(np.random.default_rng(5).normal(size=(r.size, columns)))
-        d0 = r + 2.0 * w
-        d0[ends] = r[ends] + w
-        e0 = np.where(ends[:-1], 0.0, -w)
-        assert (e0 == 0.0).any() == (lines > 0)
-        d1, e1, info = lapack.dpttrf(d0, e0)
-        assert info == 0
-        x1, info = lapack.dpttrs(d1, e1, b)
-        assert info == 0
-        rhs = b.T  # chain layout: one right-hand side per row
-        chain = operator_mod._Chain(r, ends, w, rhs)
-        assert chain.b is rhs
-        assert np.array_equal(chain.d, d1) and np.array_equal(chain.e, e1)
-        self.solve(chain)
-        assert rhs.flags.c_contiguous and np.array_equal(rhs, x1.T)
-        x = rhs[0].copy()
-        self.solve(operator_mod._Chain(r, ends, w, x))
-        assert np.array_equal(x, lapack.dpttrs(d1, e1, rhs[0])[0])
+        for r in [self.chain(lines, 3), self.chain(lines, 1)] if lines else [np.array([1.5, 0.8])]:
+            rows = r.shape[-1]
+            ends = np.arange(r.size) % rows == rows - 1
+            flat = r.reshape(-1)
+            b = np.asfortranarray(np.random.default_rng(5).normal(size=(r.size, columns)))
+            d0 = flat + 2.0 * w
+            d0[ends] = flat[ends] + w
+            e0 = np.where(ends[:-1], 0.0, -w)
+            assert (e0 == 0.0).any() == (lines > 0)
+            d1, e1, info = lapack.dpttrf(d0, e0)
+            assert info == 0
+            x1, info = lapack.dpttrs(d1, e1, b)
+            assert info == 0
+            rhs = b.T.reshape(columns, *r.shape)  # chain layout: the rows on the trailing axes
+            chain = operator_mod._Chain(r, w, rhs)
+            assert np.shares_memory(chain.parts[0][2], b)
+            assert np.array_equal(chain.d, d1) and np.array_equal(chain.e, e1)
+            self.solve(chain)
+            assert rhs.flags.c_contiguous and np.array_equal(rhs.reshape(columns, -1), x1.T)
+            x = rhs[0].copy()
+            self.solve(operator_mod._Chain(r, w, x))
+            assert np.array_equal(x.reshape(-1), lapack.dpttrs(d1, e1, rhs[0].reshape(-1))[0])
+
+    def test_parts_outlive_their_chain(self):
+        # a part passes bare addresses to LAPACK, so it must hold every
+        # array behind them; arrays this small are reused once freed
+        r, w = self.chain(4, 3), 0.37
+        b = np.random.default_rng(5).normal(size=(5, *r.shape))
+        expected = b.copy()
+        self.solve(operator_mod._Chain(r, w, expected))
+        parts = operator_mod._Chain(r, w, b).parts
+        gc.collect()
+        litter = [np.full(size, 1e300) for size in (r.size, r.size - 1, 2 * r.size) for _ in range(8)]
+        for part in parts:
+            operator_mod._solve(*part[2:])
+        assert len(litter) == 24 and np.array_equal(b, expected)
 
     @staticmethod
     def forbid_lapack(monkeypatch):
@@ -722,7 +748,7 @@ class TestCompiledRoutines:
 
     def test_bad_arguments_rejected_before_lapack(self, monkeypatch):
         self.forbid_lapack(monkeypatch)
-        r, ends, b = np.full(4, 3.0), np.arange(4) == 3, np.ones((2, 4))
+        r, b = np.full(4, 3.0), np.ones((2, 4))
         frozen = np.ones(4)
         frozen.flags.writeable = False
         big = 2**31  # broadcast views: sizes past a C int without the memory
@@ -738,11 +764,11 @@ class TestCompiledRoutines:
         for match, cases in bad.items():
             for r_, b_, *w in cases:
                 with pytest.raises(ValueError, match=match):
-                    operator_mod._Chain(r_, ends, *(w or [0.5]), b_)
+                    operator_mod._Chain(r_, *(w or [0.5]), b_)
 
     def test_indefinite_chain_raises(self):
         with pytest.raises(FloatingPointError, match="info=2"):
-            operator_mod._Chain(np.array([1.0, -1.0]), np.array([False, True]), 0.0, np.ones(2))
+            operator_mod._Chain(np.array([1.0, -1.0]), 0.0, np.ones(2))
 
     @pytest.mark.parametrize("shape", [(1,), (3, 1)])
     def test_one_row_chain_divides(self, monkeypatch, shape):
@@ -750,7 +776,7 @@ class TestCompiledRoutines:
         r, w = np.array([0.8]), 0.37
         b = np.random.default_rng(5).normal(size=shape)
         expected = b / (r[0] + w)
-        self.solve(operator_mod._Chain(r, np.array([True]), w, b))
+        self.solve(operator_mod._Chain(r, w, b))
         assert np.array_equal(b, expected)
 
     def test_csr_product_equal_to_scipy(self):
