@@ -395,12 +395,11 @@ def _format_row(row: TableRow) -> str:
     return " ".join(f"{cell or '-':>{width}}" for cell, (_, width) in zip(_cells(row), _COLUMNS))
 
 
-def run(cfg: RunConfig, *, quiet: bool = False, out=None) -> list[TableRow]:
+def run(cfg: RunConfig, *, quiet: bool = False) -> list[TableRow]:
     """Execute every (steps, level) cell of the schedule and tabulate.
 
     Every level's plan is admitted (see ``admit``) before the first is priced.
     """
-    out = out if out is not None else sys.stdout
     for violation in validate_domain(cfg.market, cfg.domain, cfg.product):
         print(f"warning: {violation}", file=sys.stderr)
     reference = _resolve_reference(cfg)
@@ -409,25 +408,17 @@ def run(cfg: RunConfig, *, quiet: bool = False, out=None) -> list[TableRow]:
         admit(plan, cfg.product, cfg.domain, cfg.max_nodes)
     rows: list[TableRow] = []
     if not quiet:
-        print(_HEADER, file=out)
+        print(_HEADER)
     for steps in cfg.steps:
         int_cfg = AmfrW2Config(num_steps=steps, theta=cfg.theta, nu=cfg.nu)
         for level, plan in zip(cfg.levels, plans):
-            result = combine(
-                plan,
-                cfg.market,
-                cfg.product,
-                cfg.domain,
-                int_cfg,
-                threads=cfg.threads,
-                max_nodes=cfg.max_nodes,
-            )
+            result = combine(plan, cfg.market, cfg.product, cfg.domain, int_cfg, threads=cfg.threads)
             value = result.value_bps
             error = abs(value - reference) if reference is not None else None
             row = TableRow(level, steps, value, error, result.seconds, result.total_points)
             rows.append(row)
             if not quiet:
-                print(_format_row(row), file=out)
+                print(_format_row(row))
     if cfg.csv_path is not None:
         _write_csv(cfg.csv_path, rows)
     return rows

@@ -47,7 +47,7 @@ the CSR product ``csr_matvec``, come from scipy's extension modules
 from their files so that neither package's ``__init__`` runs (see
 ``_extension``).  The LAPACK routines are called through ``ctypes``,
 which releases the interpreter lock, so every argument is checked here,
-once, when a chain is factored (see ``_Chain``).
+once, when a chain is factored (see ``_chain_parts``).
 """
 
 from __future__ import annotations
@@ -77,7 +77,8 @@ from .market import MarketData, PdeModel, ProductSpec, payoff
 CSR_MAX_NODES = 2**14
 
 # A large grid's unit of work is cut into parts of at most about this many
-# nodes, 256 KiB per operand, so that a part's operands stay in cache
+# nodes, 256 KiB per operand, so that a part's operands stay in cache; one
+# part per thread was slower (full2d on one core 1.27 -> 1.45 s, ROADMAP)
 _PART_NODES = 2**15
 
 # the processes that share this process's cores: in a ``combine`` pool's
@@ -96,7 +97,11 @@ def _cores() -> int:
 
 
 def _share_cores(processes: int) -> None:
-    """Set the processes that share this process's cores; a pool worker's initializer."""
+    """Set the processes that share this process's cores; a pool worker's initializer.
+
+    A worker that used every core instead ran two-worker plans slower
+    (``caplet_sparse.txt`` at level 14, 0.28 -> 0.36 s; see ROADMAP).
+    """
     global _processes
     _processes = processes
 
@@ -247,7 +252,7 @@ class GridOperator:
         self.size = sum(s.total_points for s in shapes)
         # per diffusive direction i: where its lines lie in the input (see
         # solve_directional), a batch's row scales and buffer, and per grid
-        # its chain's distinct lines, right-hand sides and parts' bounds (_Chain)
+        # its chain's distinct lines, right-hand sides and parts' bounds (_chain_parts)
         self._lines: dict[int, tuple] = {}
         # per valid (i, w) its chains' parts, False where nothing is solved
         self._factors: dict[tuple[int, float], list | bool] = {}
@@ -325,7 +330,8 @@ class GridOperator:
         if small:
             # one block-diagonal matrix, and per direction one buffer of the
             # rows of every grid's lines in chain layout, grid after grid,
-            # each grid's run the right-hand sides of its own chain
+            # each grid's run the right-hand sides of its own chain; one
+            # gather beat per-grid views of g (0-84% slower per solve, ROADMAP)
             values, columns, counts = zip(*pieces)
             indptr = np.concatenate([np.zeros(1, dtype=np.int32),
                                      np.cumsum(np.concatenate(counts), dtype=np.int32)])
@@ -432,17 +438,17 @@ class GridOperator:
         factor: direction N has a single distinct line, a direction i < N
         one per V row.  Each call scales the interior rows of the
         direction-i lines in g, in chain layout, into the right-hand sides
-        of each grid's ``_Chain``, factored, checked and bound once per
-        (i, w), whose leading axes are the repeats of the chain, solves
-        them with ``dpttrs`` and writes the solution to the new array K.
-        Small grids copy g to K, gather and scale the rows of every grid
-        into one buffer, make one ``dpttrs`` call per grid on its run of
-        the buffer and scatter the solution back, so a grid's values are
-        bitwise the same alone and in any batch.  A large grid's solve
-        runs in parts, each a range of axis 0 (see ``_Chain``) that scales
-        its own rows of g, solves them and writes them to K, whose frozen
-        faces alone are copied from g.  With w = 0 or no diffusion in
-        direction i, K is a copy of g.
+        of each grid's chain, factored, checked and bound once per (i, w)
+        (see ``_chain_parts``), whose leading axes are the repeats of the
+        chain, solves them with ``dpttrs`` and writes the solution to the
+        new array K.  Small grids copy g to K, gather and scale the rows of
+        every grid into one buffer, make one ``dpttrs`` call per grid on
+        its run of the buffer and scatter the solution back, so a grid's
+        values are bitwise the same alone and in any batch.  A large
+        grid's solve runs in parts, each a range of axis 0 of its
+        right-hand sides, that scales its own rows of g, solves them and
+        writes them to K, whose frozen faces alone are copied from g.  With
+        w = 0 or no diffusion in direction i, K is a copy of g.
         """
         g = _vector(g, self.size)
         parts = self._factors.get((i, w))
@@ -450,7 +456,7 @@ class GridOperator:
             _check_solve(self.n_directions, i, w)
             parts = False
             if w != 0.0 and i in self._lines:
-                parts = [part for r, b, cut in self._lines[i][3] for part in _Chain(r, w, b, cut).parts]
+                parts = [part for r, b, cut in self._lines[i][3] for part in _chain_parts(r, w, b, cut)]
             self._factors[(i, w)] = parts
         if not parts:
             return g.copy()
@@ -616,7 +622,7 @@ def _check_solve(n: int, i: int, w: float) -> None:
         raise ValueError("directional solve needs a finite nonnegative shift")
 
 
-class _Chain:
+def _chain_parts(r: np.ndarray, w: float, b: np.ndarray, cut=None) -> list[tuple]:
     """One grid's distinct lines of I - w*A_i, rows scaled by r, factored
     once and bound, in parts, to the right-hand sides ``b``.
 
@@ -628,57 +634,57 @@ class _Chain:
 
     ``b`` is in chain layout, C-ordered: trailing axes shaped as ``r``,
     leading axes, if any, the repeats of the lines, each a column.
-    ``dpttrf`` and ``dpttrs`` trust their pointers, so the constructor
-    checks once what scipy's wrappers checked on every call: float64
-    ``r``, ``b``, ``d`` and ``e`` (typed by ``w``), ``b``'s shape, sizes
-    that fit a C int, and ``b``, writable and C-contiguous.
+    ``dpttrf`` and ``dpttrs`` trust their pointers, so this checks once
+    what scipy's wrappers checked on every call: float64 ``r``, ``b``,
+    ``d`` and ``e`` (typed by ``w``), ``b``'s shape, sizes that fit a C
+    int, and ``b``, writable and C-contiguous.
 
     ``cut`` bounds the parts (one if None), ranges of axis 0 of ``b`` and,
     with no repeats, of ``r``, whose rows are whole lines: blocks of
     right-hand sides or runs of lines, whose factor is the slice of the
-    chain's, as the lines couple with zero.  Each is solved apart with its
-    own ``info``, holds every array whose address it passes, ``b``, ``d``
-    and ``e``, and holds no chain, so it outlives the chain.
+    chain's, as the lines couple with zero.  Each part is (rows, r, b, d,
+    e, args, info), solved apart with its own ``info`` (see ``_solve``);
+    it holds every array whose address it passes, ``b`` and its slices of
+    the factor ``d`` and ``e``.
     """
-
-    def __init__(self, r: np.ndarray, w: float, b: np.ndarray, cut=None):
-        n, m = r.size, r.shape[-1]
-        if b.shape[b.ndim - r.ndim :] != r.shape:
-            raise ValueError(f"a chain of rows shaped {r.shape} has right-hand sides of shape {b.shape}")
-        if max(n, b.size // n) > _INT_MAX:
-            raise ValueError(f"{n} rows and {b.size // n} right-hand sides exceed LAPACK's 32-bit sizes")
-        if not b.flags.c_contiguous:
-            raise ValueError("a tridiagonal system needs contiguous, C-ordered right-hand sides")
-        if not b.flags.writeable:
-            raise ValueError("the right-hand sides of a tridiagonal solve must be writable")
-        d = r + 2.0 * w
-        d[..., -1] = r[..., -1] + w
-        self.d = d = d.reshape(-1)
-        self.e = e = np.full(n - 1, -w)
-        e[m - 1 :: m] = 0.0  # a row couples to its neighbours on the same line only
-        if not r.dtype == b.dtype == d.dtype == e.dtype == np.float64:
-            raise ValueError("a tridiagonal system needs float64 arrays and shift")
-        if n > 1:
-            info = ctypes.c_int()
-            _dpttrf(ctypes.c_int(n), d.ctypes.data, e.ctypes.data, info)
-            if info.value != 0:
-                raise FloatingPointError(f"tridiagonal factorisation failed (info={info.value})")
-        if not (np.isfinite(d).all() and np.isfinite(e).all()):
-            raise FloatingPointError("non-finite tridiagonal factor")
-        repeats, cut = b.ndim > r.ndim, cut or (0, len(b))
-        self.parts = []
-        for a, z in zip(cut, cut[1:]):  # per part, its first row in the chain and its rows
-            at, rows = (0, n) if repeats else (a * b[0].size, (z - a) * b[0].size)
-            part_d, part_e, info, args = d[at : at + rows], e[at:], ctypes.c_int(), None
-            # a part of one row is its own factor and is divided in numpy, as
-            # ``dpttrs`` divides each row of a longer chain (it would multiply
-            # this one by 1/d), so a row's bits do not depend on its part
-            if rows > 1:
-                block = b[a:z].reshape(-1, rows).T  # Fortran-ordered, one column per right-hand side
-                size = ctypes.c_int(rows)
-                args = (size, ctypes.c_int(block.shape[1]), part_d.ctypes.data,
-                        part_e.ctypes.data, block.ctypes.data, size, info)
-            self.parts.append((slice(a, z), r if repeats else r[a:z], b[a:z], part_d, part_e, args, info))
+    n, m = r.size, r.shape[-1]
+    if b.shape[b.ndim - r.ndim :] != r.shape:
+        raise ValueError(f"a chain of rows shaped {r.shape} has right-hand sides of shape {b.shape}")
+    if max(n, b.size // n) > _INT_MAX:
+        raise ValueError(f"{n} rows and {b.size // n} right-hand sides exceed LAPACK's 32-bit sizes")
+    if not b.flags.c_contiguous:
+        raise ValueError("a tridiagonal system needs contiguous, C-ordered right-hand sides")
+    if not b.flags.writeable:
+        raise ValueError("the right-hand sides of a tridiagonal solve must be writable")
+    d = r + 2.0 * w
+    d[..., -1] = r[..., -1] + w
+    d = d.reshape(-1)
+    e = np.full(n - 1, -w)
+    e[m - 1 :: m] = 0.0  # a row couples to its neighbours on the same line only
+    if not r.dtype == b.dtype == d.dtype == e.dtype == np.float64:
+        raise ValueError("a tridiagonal system needs float64 arrays and shift")
+    if n > 1:
+        info = ctypes.c_int()
+        _dpttrf(ctypes.c_int(n), d.ctypes.data, e.ctypes.data, info)
+        if info.value != 0:
+            raise FloatingPointError(f"tridiagonal factorisation failed (info={info.value})")
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise FloatingPointError("non-finite tridiagonal factor")
+    repeats, cut = b.ndim > r.ndim, cut or (0, len(b))
+    parts = []
+    for a, z in zip(cut, cut[1:]):  # per part, its first row in the chain and its rows
+        at, rows = (0, n) if repeats else (a * b[0].size, (z - a) * b[0].size)
+        part_d, part_e, info, args = d[at : at + rows], e[at:], ctypes.c_int(), None
+        # a part of one row is its own factor and is divided in numpy, as
+        # ``dpttrs`` divides each row of a longer chain (it would multiply
+        # this one by 1/d), so a row's bits do not depend on its part
+        if rows > 1:
+            block = b[a:z].reshape(-1, rows).T  # Fortran-ordered, one column per right-hand side
+            size = ctypes.c_int(rows)
+            args = (size, ctypes.c_int(block.shape[1]), part_d.ctypes.data,
+                    part_e.ctypes.data, block.ctypes.data, size, info)
+        parts.append((slice(a, z), r if repeats else r[a:z], b[a:z], part_d, part_e, args, info))
+    return parts
 
 
 def _solve(b: np.ndarray, d: np.ndarray, e: np.ndarray, args: tuple | None, info: ctypes.c_int) -> None:

@@ -182,8 +182,7 @@ def solve_component_grids(
     the same alone or in any batch.
     """
     shapes = [shape_for_levels(l, product, domain) for l in levels]
-    states = [initial_state(market, product, s).values for s in shapes]
-    y0 = states[0] if len(states) == 1 else np.concatenate(states)  # a lone state is not copied
+    y0 = np.concatenate([initial_state(market, product, s).values for s in shapes])
     op = GridOperator(market, product, *shapes)
     final = integrate(op, y0, domain.horizon, config)
     scale = 1.0e4 * product_discount(market, product)
@@ -244,8 +243,9 @@ def _batches(points: Sequence[int], dims: int, workers: int) -> list[range]:
     ``workers`` runs of about equal node count, hence equal node-steps:
     a grid joins the run its middle node falls in.  A
     run is also cut before its CSR matrix could pass
-    ``MAX_BATCH_NONZEROS``, counting 2*dims**2 + 3*dims entries per node:
-    a row holds at most 3 per diffusion, 4 per cross and 2 per drift term.
+    ``MAX_BATCH_NONZEROS``, counting 2*dims**2 + 3*dims entries per node,
+    4 more than a row holds at most (3 per diffusion, 4 per cross and 2
+    per drift term: 10 in 2D, 23 in 3D).
     """
     small = sum(p for p in points if p <= CSR_MAX_NODES)
     per_node = 2 * dims * dims + 3 * dims

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Protocol
 
 import numpy as np
 
@@ -119,28 +119,26 @@ def _ensure_finite(x: np.ndarray, where: str) -> None:
 def amfrw2_stage(
     op: SplitOperator,
     y_n: np.ndarray,
-    stages: Sequence[np.ndarray],
+    k1: np.ndarray | None,
     dt: float,
     config: AmfrW2Config,
     counters: StepCounters | None = None,
     *,
     checked: bool = True,
 ) -> np.ndarray:
-    """One stage vector K_r; ``stages`` holds the previously computed ones.
+    """Stage vector K_1, with ``k1`` None, or K_2 from ``k1`` = K_1.
 
     ``checked`` raises on a non-finite value, naming the stage part.
     """
-    if len(stages) > 1:
-        raise ValueError("the method has two stages")
-    r = len(stages) + 1
+    r = 1 if k1 is None else 2
     check = _ensure_finite if checked else lambda x, where: None
     w = config.resolved_nu(op.n_directions) * dt
-    if stages:
-        x = A21 * stages[0]
+    if k1 is not None:
+        x = A21 * k1
         x += y_n
         k0 = op.apply(x)
         k0 *= dt
-        k0 += np.multiply(stages[0], Q21, x)
+        k0 += np.multiply(k1, Q21, x)
         del x  # nothing reads it again; freed before the sweeps
     else:
         k0 = op.apply(y_n)
@@ -174,16 +172,16 @@ def amfrw2_step(
 ) -> np.ndarray:
     """Y_{n+1}, checked once: a NaN or inf in any stage reaches it through
     the linear updates, and a failing step is rerun with per-stage checks."""
-    k1 = amfrw2_stage(op, y_n, (), dt, config, counters, checked=False)
-    k2 = amfrw2_stage(op, y_n, (k1,), dt, config, counters, checked=False)
+    k1 = amfrw2_stage(op, y_n, None, dt, config, counters, checked=False)
+    k2 = amfrw2_stage(op, y_n, k1, dt, config, counters, checked=False)
     y = k1
     y *= B1
     y += y_n
     k2 *= B2
     y += k2
     if not np.isfinite(y).all():
-        k1 = amfrw2_stage(op, y_n, (), dt, config)
-        amfrw2_stage(op, y_n, (k1,), dt, config)
+        k1 = amfrw2_stage(op, y_n, None, dt, config)
+        amfrw2_stage(op, y_n, k1, dt, config)
         _ensure_finite(y, "the step update")
     return y
 

@@ -1,4 +1,3 @@
-import io
 import math
 import os
 import subprocess
@@ -189,7 +188,8 @@ class TestParse:
             parse_config(text)
 
     def test_round_trip_identity(self):
-        for text in (MINIMAL_CAPLET, SPARSE_CAPLET):
+        black = MINIMAL_CAPLET + "\n[output]\nreference = black\n"  # a caplet with sigma = 0
+        for text in (MINIMAL_CAPLET, SPARSE_CAPLET, black):
             cfg = parse_config(text)
             assert parse_config(serialize_config(cfg)) == cfg
 
@@ -244,6 +244,12 @@ class TestRun:
         reference = black_caplet_price(cfg.market, 1)
         assert row.error_bps == pytest.approx(abs(direct - reference), rel=1e-15)
 
+    def test_numeric_reference_fills_error(self):
+        cfg = parse_config(MINIMAL_CAPLET + "\n[output]\nreference = 6.0\n")
+        row = run(cfg, quiet=True)[0]
+        assert row.error_bps == abs(row.solution_bps - 6.0)
+        assert row.error_bps > 0.0
+
     def test_full_grid_never_starts_a_pool(self, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a one-term plan must not start a process pool")
@@ -279,11 +285,10 @@ class TestRun:
 
         assert [strip_time(l) for l in first] == [strip_time(l) for l in second]
 
-    def test_table_printed_unless_quiet(self):
+    def test_table_printed_unless_quiet(self, capsys):
         cfg = parse_config(MINIMAL_CAPLET)
-        buffer = io.StringIO()
-        run(cfg, out=buffer)
-        text = buffer.getvalue()
+        run(cfg)
+        text = capsys.readouterr().out
         assert "level" in text and "grid points" in text
         assert len(text.strip().splitlines()) == 2
 

@@ -74,13 +74,13 @@ class FrozenRowsChecked:
 def record_factors(monkeypatch):
     """The shift and row count of every tridiagonal chain factored from now on, in order."""
     factors = []
-    build = operator_mod._Chain
+    build = operator_mod._chain_parts
 
     def recorded(r, w, b, *cut):
         factors.append((w, r.size))
         return build(r, w, b, *cut)
 
-    monkeypatch.setattr(operator_mod, "_Chain", recorded)
+    monkeypatch.setattr(operator_mod, "_chain_parts", recorded)
     return factors
 
 
@@ -682,7 +682,7 @@ for _ in range(200):
 
 
 class TestCompiledRoutines:
-    """``dpttrf`` and ``dpttrs`` as a ``_Chain`` binds them, and
+    """``dpttrf`` and ``dpttrs`` as ``_chain_parts`` binds them, and
     ``csr_matvec`` as the operator calls it, against scipy's own wrappers."""
 
     @staticmethod
@@ -691,9 +691,9 @@ class TestCompiledRoutines:
         return np.random.default_rng(seed).uniform(0.5, 4.0, (lines, rows))
 
     @staticmethod
-    def solve(chain):
-        """Overwrite the chain's right-hand sides with the solution, part after part."""
-        for part in chain.parts:
+    def solve(parts):
+        """Overwrite a chain's right-hand sides with the solution, part after part."""
+        for part in parts:
             operator_mod._solve(*part[2:])
 
     # 40 lines of three rows and 40 of one row, zero couplings between
@@ -715,13 +715,13 @@ class TestCompiledRoutines:
             x1, info = lapack.dpttrs(d1, e1, b)
             assert info == 0
             rhs = b.T.reshape(columns, *r.shape)  # chain layout: the rows on the trailing axes
-            chain = operator_mod._Chain(r, w, rhs)
-            assert np.shares_memory(chain.parts[0][2], b)
-            assert np.array_equal(chain.d, d1) and np.array_equal(chain.e, e1)
-            self.solve(chain)
+            parts = operator_mod._chain_parts(r, w, rhs)  # one part: the whole factor
+            assert np.shares_memory(parts[0][2], b)
+            assert np.array_equal(parts[0][3], d1) and np.array_equal(parts[0][4], e1)
+            self.solve(parts)
             assert rhs.flags.c_contiguous and np.array_equal(rhs.reshape(columns, -1), x1.T)
             x = rhs[0].copy()
-            self.solve(operator_mod._Chain(r, w, x))
+            self.solve(operator_mod._chain_parts(r, w, x))
             assert np.array_equal(x.reshape(-1), lapack.dpttrs(d1, e1, rhs[0].reshape(-1))[0])
 
     def test_parts_outlive_their_chain(self):
@@ -730,8 +730,8 @@ class TestCompiledRoutines:
         r, w = self.chain(4, 3), 0.37
         b = np.random.default_rng(5).normal(size=(5, *r.shape))
         expected = b.copy()
-        self.solve(operator_mod._Chain(r, w, expected))
-        parts = operator_mod._Chain(r, w, b).parts
+        self.solve(operator_mod._chain_parts(r, w, expected))
+        parts = operator_mod._chain_parts(r, w, b)
         gc.collect()
         litter = [np.full(size, 1e300) for size in (r.size, r.size - 1, 2 * r.size) for _ in range(8)]
         for part in parts:
@@ -764,11 +764,11 @@ class TestCompiledRoutines:
         for match, cases in bad.items():
             for r_, b_, *w in cases:
                 with pytest.raises(ValueError, match=match):
-                    operator_mod._Chain(r_, *(w or [0.5]), b_)
+                    operator_mod._chain_parts(r_, *(w or [0.5]), b_)
 
     def test_indefinite_chain_raises(self):
         with pytest.raises(FloatingPointError, match="info=2"):
-            operator_mod._Chain(np.array([1.0, -1.0]), 0.0, np.ones(2))
+            operator_mod._chain_parts(np.array([1.0, -1.0]), 0.0, np.ones(2))
 
     @pytest.mark.parametrize("shape", [(1,), (3, 1)])
     def test_one_row_chain_divides(self, monkeypatch, shape):
@@ -776,7 +776,7 @@ class TestCompiledRoutines:
         r, w = np.array([0.8]), 0.37
         b = np.random.default_rng(5).normal(size=shape)
         expected = b / (r[0] + w)
-        self.solve(operator_mod._Chain(r, w, b))
+        self.solve(operator_mod._chain_parts(r, w, b))
         assert np.array_equal(b, expected)
 
     def test_csr_product_equal_to_scipy(self):
