@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 from .errors import ComponentSolveError, ConfigError
 from .market import (
     CAPLET,
+    SWAPTION,
     DomainSpec,
     MarketData,
     ProductSpec,
@@ -195,7 +196,9 @@ def _build_market(raw: _Raw) -> MarketData:
 
 
 def _build_product(raw: _Raw) -> ProductSpec:
-    kind = raw.require("product", "kind")[0]
+    kind, line = raw.require("product", "kind")
+    if kind not in (CAPLET, SWAPTION):
+        raise ConfigError(f"unknown product kind {kind!r}", line)
     a = _parse_scalar(raw.require("product", "a"), int, "an integer")
     b_raw = raw.take("product", "b")
     if b_raw is not None:

@@ -182,12 +182,6 @@ class GridShape:
     def coordinate(self, j: Sequence[int]) -> tuple[float, ...]:
         return tuple(comp * h for comp, h in zip(j, self.spacings))
 
-    def inner_mask(self) -> np.ndarray:
-        """Boolean flat mask of the active nodes; True count equals interior_points."""
-        mask = np.zeros(self.reversed_points, dtype=bool)
-        mask[(slice(1, None),) * self.ndim] = True
-        return mask.reshape(-1)
-
     @cached_property
     def reversed_points(self) -> tuple[int, ...]:
         """Shape of the C-ordered ndarray view: direction 1 is the last axis."""

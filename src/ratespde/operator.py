@@ -38,8 +38,11 @@ layout: a block of columns or, with no repeats, a run of whole lines.
 Neither call copies a whole grid into its output: the calling thread
 writes the frozen faces of a new, uninitialised array, zeros for
 ``apply`` and the input's values for a solve, and each part writes its
-own rows of the interior.  The helper threads are stopped before any
-fork, which waits until the OS has retired them, so no child copies them.
+own rows of the interior.  A plan's components run on forked worker
+processes (``_pool``).  One rule, kept here, makes them safe with the
+helper threads: the before-fork hook, the only code that waits for
+threads, stops the helpers and waits until the OS has retired every
+engine thread Python has joined.
 
 The three compiled routines used, LAPACK's ``dpttrf`` and ``dpttrs`` and
 the CSR product ``csr_matvec``, come from scipy's extension modules
@@ -52,14 +55,17 @@ once, when a chain is factored (see ``_chain_parts``).
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import importlib.util
 import math
+import multiprocessing
 import os
 import re
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib.machinery import PathFinder
 
@@ -86,7 +92,7 @@ _PART_NODES = 2**15
 _processes = 1
 _helpers = None  # the helper threads' pool, made on first use and stopped before a fork
 _helpers_lock = threading.Lock()  # held to make, hand work to or stop the pool
-_helper_ids: list[str] = []  # the helpers' OS thread ids, each recorded as it starts
+_engine_threads: set[str] = set()  # OS ids the next fork waits for: helpers', pools' threads
 
 
 def _cores() -> int:
@@ -119,33 +125,48 @@ def _os_threads() -> set[str]:
         return set()
 
 
-def _await_exit(threads: set[str]) -> None:
-    """Wait, at most 0.1 s, until the OS has retired ``threads``, threads of
-    this process that Python has joined.
-
-    Python counts a thread as joined a little before the OS retires it,
-    and a fork in between copies a process that the OS still counts as
-    threaded, which Python 3.12 warns about.
-    """
-    deadline = time.monotonic() + 0.1
-    while threads & _os_threads() and time.monotonic() < deadline:
-        time.sleep(1e-5)
-
-
-def _stop_helpers() -> None:
-    """Stop the helper threads, once the work handed to them is done, and
-    forget them; return once the OS has retired them (``_await_exit``)."""
+def _before_fork() -> None:
+    """Stop the helper threads, once their work is done, then wait, at most
+    0.1 s, until the OS has retired every thread in ``_engine_threads``, and
+    forget them.  This is the engine's only wait for threads: Python counts
+    a thread as joined a little before the OS retires it, and a fork in
+    between copies a process that the OS still counts as threaded, which
+    Python 3.12 warns about."""
     global _helpers
     with _helpers_lock:
         if _helpers is not None:
             _helpers.shutdown()
             _helpers = None
-            _await_exit(set(_helper_ids))
-            _helper_ids.clear()
+        deadline = time.monotonic() + 0.1
+        while _engine_threads & _os_threads() and time.monotonic() < deadline:
+            time.sleep(1e-5)
+        _engine_threads.clear()
 
 
-if hasattr(os, "register_at_fork"):  # so that no fork, ours or a caller's, copies a helper
-    os.register_at_fork(before=_stop_helpers)
+if hasattr(os, "register_at_fork"):  # so that no fork, ours or a caller's, copies a thread
+    os.register_at_fork(before=_before_fork)
+
+
+@contextlib.contextmanager
+def _pool(workers: int, jobs: int):
+    """Yield ``submit(fn, *args)``, which returns a getter for ``fn(*args)``,
+    run by the getter at one worker or one job, else on ``min(workers, jobs)``
+    forked workers: they share the cores (``_share_cores``) and load nothing,
+    as they see the engine exactly as this process does.  On exit, jobs not
+    started are cancelled; the next fork waits for the pool's threads."""
+    size = min(workers, jobs)
+    if size < 2:
+        yield functools.partial  # submit(fn, *args): a getter that runs fn here
+        return
+    before = _os_threads()
+    pool = ProcessPoolExecutor(size, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_share_cores, initargs=(size,))
+    try:
+        yield lambda fn, *args: pool.submit(fn, *args).result
+    finally:
+        pool.shutdown(cancel_futures=True)
+        with _helpers_lock:
+            _engine_threads.update(_os_threads() - before)
 
 
 def _run(tasks: list) -> None:
@@ -170,7 +191,7 @@ def _run(tasks: list) -> None:
 
             _helpers = ThreadPoolExecutor(
                 max(1, _cores() - 1),
-                initializer=lambda: _helper_ids.append(str(threading.get_native_id())),
+                initializer=lambda: _engine_threads.add(str(threading.get_native_id())),
             )
         helpers = [_helpers.submit(take) for _ in range(threads - 1)]
     try:

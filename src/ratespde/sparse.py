@@ -16,12 +16,9 @@ A full isotropic grid is the degenerate plan: one term of weight 1.
 
 from __future__ import annotations
 
-import functools
 import math
-import multiprocessing
 import operator
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -34,10 +31,8 @@ from .operator import (
     CSR_MAX_NODES,
     GridOperator,
     StateVector,
-    _await_exit,
     _cores,
-    _os_threads,
-    _share_cores,
+    _pool,
     initial_state,
     interpolate,
 )
@@ -302,22 +297,22 @@ def combine(
 
     ``threads`` is the number of worker processes (default: the cores
     this process may run on), capped at that core count and the number
-    of components, since the pool starts every worker at once; with one
-    worker the components are solved in this process.  A grid over
-    ``CSR_MAX_NODES`` nodes splits its work between threads, one per
+    of components, since the pool starts every worker at once.  A grid
+    over ``CSR_MAX_NODES`` nodes splits its work between threads, one per
     core in this process and cores // workers in a pool's worker, so
-    threads times workers stays within the cores.  Every component is checked
-    against ``max_nodes`` before any solve starts.  The plan is split, in
-    plan order, into batches (see ``_batches``): the grids of at most
-    ``CSR_MAX_NODES`` nodes are solved together through one
+    threads times workers stays within the cores.  Every component is
+    checked against ``max_nodes`` before any solve starts.  The plan is
+    split, in plan order, into batches (see ``_batches``): the grids of at
+    most ``CSR_MAX_NODES`` nodes are solved together through one
     ``GridOperator`` per batch, every larger grid alone, and each
-    component's price is bitwise what it is alone.  Workers are forked,
-    so they see the engine exactly as this process does, its compiled
-    routines already loaded at import.  A batch that fails is
-    solved again one component at a time, so the first component to fail
-    in plan order raises ``ComponentSolveError``; that cancels the
-    batches not yet started.  The reduction happens in plan order, so the
-    combined value does not depend on the worker count.
+    component's price is bitwise what it is alone.  The batches run on
+    ``operator._pool``: here at one worker or one batch, else on forked
+    workers, and no fork copies a thread, by the one rule that
+    ``operator._before_fork`` keeps.  A batch that fails is solved again
+    one component at a time, so the first component to fail in plan
+    order raises ``ComponentSolveError``; that cancels the batches not yet
+    started.  The reduction happens in plan order, so the combined value
+    does not depend on the worker count.
     """
     if threads is not None and _integer("threads", threads) < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -326,22 +321,13 @@ def combine(
     started = time.perf_counter()
     cpus = _cores()
     workers = min(threads or cpus, cpus, len(plan))
-    batches = _batches(points, plan.dims, workers)
     jobs = [
         ([plan.terms[k] for k in batch], [points[k] for k in batch], market, product, domain, config)
-        for batch in batches
+        for batch in _batches(points, plan.dims, workers)
     ]
-    pool = None
-    try:
-        if workers > 1 and len(jobs) > 1:
-            size = min(workers, len(jobs))
-            before = _os_threads()
-            pool = ProcessPoolExecutor(size, mp_context=multiprocessing.get_context("fork"),
-                                       initializer=_share_cores, initargs=(size,))
-            pending = [pool.submit(_solve_batch, *job).result for job in jobs]
-        else:
-            pending = [functools.partial(_solve_batch, *job) for job in jobs]
-        components = []
+    components = []
+    with _pool(workers, len(jobs)) as submit:
+        pending = [submit(_solve_batch, *job) for job in jobs]
         for (terms, counts, *rest), result in zip(jobs, pending):
             try:
                 components += result()
@@ -353,10 +339,6 @@ def combine(
                         components += _solve_batch([term], [count], *rest)
                     except Exception as cause:
                         raise ComponentSolveError(term.levels) from cause
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-            _await_exit(_os_threads() - before)  # the pool's own threads, before a later fork
     value = 0.0
     for comp in components:
         value += comp.weight * comp.value_bps

@@ -1,9 +1,10 @@
 """Reference implementations that tests compare the engine against.
 
-Neither is on the pricing path.  They live next to the tests, outside
+None is on the pricing path.  They live next to the tests, outside
 the ``ratespde`` package, so ``import ratespde`` loads neither them nor
 ``scipy.sparse``:
 
+* ``inner_mask`` marks a grid's active nodes from its shape alone;
 * ``assemble_operator_matrix`` / ``assemble_directional_matrix`` build
   the operator, or one diffusion block A_i, entry by entry with plain
   loops over the stencil rules, independently of the compiled program behind
@@ -90,6 +91,13 @@ def _assemble(op, node_cap: int | None, directions, coupling: bool) -> sp.csr_ma
 
     size = shape.total_points
     return sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
+
+
+def inner_mask(shape) -> np.ndarray:
+    """Boolean flat mask of the active nodes; True count equals interior_points."""
+    mask = np.zeros(shape.reversed_points, dtype=bool)
+    mask[(slice(1, None),) * shape.ndim] = True
+    return mask.reshape(-1)
 
 
 def assemble_operator_matrix(op, node_cap: int | None = 200_000) -> sp.csr_matrix:

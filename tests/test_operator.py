@@ -31,7 +31,7 @@ from ratespde import (
 )
 
 from conftest import make_market, threads_at_forks
-from reference import assemble_directional_matrix, assemble_operator_matrix
+from reference import assemble_directional_matrix, assemble_operator_matrix, inner_mask
 
 
 def rng():
@@ -56,7 +56,7 @@ class FrozenRowsChecked:
 
     def __init__(self, op):
         self.op, self.n_directions, self.solves = op, op.n_directions, 0
-        self.frozen = ~np.concatenate([s.inner_mask() for s in op.shapes])
+        self.frozen = ~np.concatenate([inner_mask(s) for s in op.shapes])
 
     def apply(self, y):
         return self.op.apply(y)
@@ -146,7 +146,7 @@ class TestApply:
         op, *_ = make_operator((4, 5, 3))
         y = rng().normal(size=op.shape.total_points)
         out = op.apply(y)
-        assert np.all(out[~op.shape.inner_mask()] == 0.0)
+        assert np.all(out[~inner_mask(op.shape)] == 0.0)
 
     def test_linearity(self):
         op, *_ = make_operator((5, 4, 3))
@@ -192,7 +192,7 @@ class TestApply:
         op, *_ = make_operator((4, 5, 3))
         built = dict(calls)
         assert all(built.values())
-        g = rng().normal(size=op.shape.total_points) * op.shape.inner_mask()
+        g = rng().normal(size=op.shape.total_points) * inner_mask(op.shape)
         for _ in range(2):
             op.apply(g)
             for i in range(1, op.n_directions + 1):
@@ -281,7 +281,7 @@ class TestApply:
 class TestDirectionalSolve:
     def test_zero_shift_is_identity(self):
         op, *_ = make_operator((4, 4))
-        g = rng().normal(size=op.shape.total_points) * op.shape.inner_mask()
+        g = rng().normal(size=op.shape.total_points) * inner_mask(op.shape)
         assert np.array_equal(op.solve_directional(1, 0.0, g), g)
 
     def test_negative_shift_rejected(self):
@@ -305,7 +305,7 @@ class TestDirectionalSolve:
         # one long chain (thin shapes), many columns (fat ones) and chains
         # of one and two rows
         op, *_ = make_operator(counts)
-        g = rng().normal(size=op.shape.total_points) * op.shape.inner_mask()
+        g = rng().normal(size=op.shape.total_points) * inner_mask(op.shape)
         for i in range(1, op.n_directions + 1):
             a_i = assemble_directional_matrix(op, i)
             for w in (0.05, 1.3):
@@ -321,7 +321,7 @@ class TestDirectionalSolve:
         # chains of one and two rows, and on 32 x 32 a forward direction
         # whose d_j span six orders of magnitude
         op, *_ = make_operator(counts)
-        g = rng().normal(size=op.shape.total_points) * op.shape.inner_mask()
+        g = rng().normal(size=op.shape.total_points) * inner_mask(op.shape)
         eye = np.eye(op.shape.total_points)
         if counts == (32, 32):
             f, v = op.shape.axis_coordinates(1)[1:], op.shape.axis_coordinates(2)[1:]
@@ -336,9 +336,9 @@ class TestDirectionalSolve:
 
     def test_outer_rows_pass_through(self):
         op, *_ = make_operator((5, 4))
-        g = rng().normal(size=op.shape.total_points) * op.shape.inner_mask()
+        g = rng().normal(size=op.shape.total_points) * inner_mask(op.shape)
         k = op.solve_directional(2, 0.4, g)
-        outer = ~op.shape.inner_mask()
+        outer = ~inner_mask(op.shape)
         assert np.all(k[outer] == 0.0)
 
     # sha256 prefixes of solve_directional(i, w, g) for i = 1..N and
@@ -370,7 +370,7 @@ class TestDirectionalSolve:
     @pytest.mark.parametrize("counts", list(FROZEN_DIGESTS))
     def test_bitwise_equal_to_frozen_outputs(self, counts):
         op, *_ = make_operator(counts)
-        g = np.random.default_rng(7).normal(size=op.shape.total_points) * op.shape.inner_mask()
+        g = np.random.default_rng(7).normal(size=op.shape.total_points) * inner_mask(op.shape)
         for _ in range(2):  # the second round runs from the cached plans
             outs = [
                 op.solve_directional(i, w, g)
@@ -387,7 +387,7 @@ class TestDirectionalSolve:
         for counts in [(5, 4), (128, 128)]:
             factors.clear()
             op, *_ = make_operator(counts)
-            g = rng().normal(size=op.shape.total_points) * op.shape.inner_mask()
+            g = rng().normal(size=op.shape.total_points) * inner_mask(op.shape)
             for i in (1, 2):
                 op.solve_directional(i, 0.3, g)
             for _ in range(2):  # a rejected (i, w) is never cached, so it fails again
@@ -408,7 +408,7 @@ class TestDirectionalSolve:
         for counts in [(8, 8), (128, 128)]:
             factors.clear()
             op, *_ = make_operator(counts)
-            g = rng().normal(size=op.shape.total_points) * op.shape.inner_mask()
+            g = rng().normal(size=op.shape.total_points) * inner_mask(op.shape)
             first = op.solve_directional(1, 0.2, g)
             assert factors == [(0.2, op.shape.interior_points)]  # direction 1: no repeated line
             second = op.solve_directional(1, 0.2, g)
@@ -419,7 +419,7 @@ class TestDirectionalSolve:
         # a copy would share the work arrays its chains point at
         for counts in [(5, 4), (128, 128)]:
             op, *_ = make_operator(counts)
-            op.solve_directional(1, 0.3, rng().normal(size=op.size) * op.shape.inner_mask())
+            op.solve_directional(1, 0.3, rng().normal(size=op.size) * inner_mask(op.shape))
             for duplicate in (copy.copy, copy.deepcopy, pickle.dumps):
                 with pytest.raises(TypeError, match="copied or pickled"):
                     duplicate(op)
@@ -440,7 +440,7 @@ class TestDirectionalSolve:
         # diagonal r + w, with r = 1/(2 d_M) on the Neumann row
         op, *_ = make_operator((16384, 1))
         assert op.shape.total_points == 32_770
-        g = np.random.default_rng(7).normal(size=op.shape.total_points) * op.shape.inner_mask()
+        g = np.random.default_rng(7).normal(size=op.shape.total_points) * inner_mask(op.shape)
         v = op.shape.axis_coordinates(2)[1:]
         r = 1.0 / (op.model.diffusion(2, v, v) / op.shape.spacings[1] ** 2)
         r *= 0.5
@@ -470,7 +470,7 @@ class TestDirectionalSolve:
         base = np.random.default_rng(7).normal(size=2 * op.size)
         kept = base.copy()
         g = base[::2] if strided else base[: op.size]
-        outer = ~op.shape.inner_mask()
+        outer = ~inner_mask(op.shape)
         out = op.apply(g)[outer]
         assert np.all(out == 0.0) and not np.signbit(out).any()
         for i in range(1, op.n_directions + 1):
@@ -534,7 +534,7 @@ class TestBlockOperator:
     @pytest.mark.parametrize("dims", [2, 3])
     def test_solves_bitwise_per_component(self, dims):
         ops, block = self.parts(dims)
-        masks = np.concatenate([op.shape.inner_mask() for op in ops])
+        masks = np.concatenate([inner_mask(op.shape) for op in ops])
         g = rng().normal(size=block.size) * masks
         for _ in range(2):  # the second round runs from the cached plans
             for i in range(1, dims + 1):
@@ -550,7 +550,7 @@ class TestBlockOperator:
         market, product = make_market(sigma=0.3, phi=0.4), ProductSpec(CAPLET, 1, 2)
         shapes = [GridShape(counts, (0.04, 3.5)) for counts in [(64, 8), (8, 64)]]
         block = GridOperator(market, product, *shapes)
-        g = rng().normal(size=block.size) * np.concatenate([s.inner_mask() for s in shapes])
+        g = rng().normal(size=block.size) * np.concatenate([inner_mask(s) for s in shapes])
         block.solve_directional(2, 0.3, g)
         assert factors == [(0.3, 8), (0.3, 64)]
 
@@ -596,7 +596,7 @@ class TestParts:
             op, market, product, shape = make_operator(counts)
             assert len(op._programs) == parts
             y = np.random.default_rng(7).normal(size=op.size)
-            g = y * op.shape.inner_mask()
+            g = y * inner_mask(op.shape)
             outs = [op.apply(y)]
             for i in range(1, op.n_directions + 1):
                 for w in (0.07, 1.3):
@@ -610,7 +610,7 @@ class TestParts:
     def test_failing_part_raises_after_every_part_finished(self, monkeypatch):
         monkeypatch.setattr(operator_mod, "_threads", lambda: 2)
         op, *_ = make_operator((128, 129))
-        g = rng().normal(size=op.size) * op.shape.inner_mask()
+        g = rng().normal(size=op.size) * inner_mask(op.shape)
         expected = op.solve_directional(2, 0.3, g)
         dpttrs, started, finished = operator_mod._dpttrs, threading.Event(), []
 
@@ -831,7 +831,7 @@ class TestCoefficientGuard:
         small = dataclasses.replace(market, alphas=(0.0, 1e-140) + market.alphas[2:])
         shape = GridShape((16, 16), (0.04, 3.5))
         op = GridOperator(small, ProductSpec(CAPLET, 1, 2), shape)
-        g = rng().normal(size=shape.total_points) * shape.inner_mask()
+        g = rng().normal(size=shape.total_points) * inner_mask(shape)
         assert np.all(np.isfinite(op.solve_directional(1, 0.3, g)))
         # w*d_j is subnormal here, d_j itself is not
         a_1 = assemble_directional_matrix(op, 1).toarray()

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import ratespde.operator as operator_mod
 import ratespde.sparse as sparse_mod
 from ratespde import (
     CAPLET,
@@ -350,7 +351,7 @@ class TestCombine:
             def shutdown(self, cancel_futures=False):
                 pass
 
-        monkeypatch.setattr(sparse_mod, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(operator_mod, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(
             sparse_mod, "solve_component_grids", lambda levels, *a, **k: [1.0] * len(levels)
         )
@@ -397,8 +398,9 @@ assert counts and set(counts) == {1}, counts
     @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="no thread count here")
     def test_no_pool_thread_left_at_the_next_fork(self):
         # the threads of a pool that has shut down can still be OS threads
-        # for a moment; ``combine`` returns once they are gone, so the next
-        # pool's forks find this process on its one thread
+        # for a moment; the engine's before-fork hook, the one place in
+        # ``operator.py`` that waits for threads, waits until they are gone,
+        # so the next pool's forks find this process on its one thread
         counts = threads_at_forks("""
 import ratespde.sparse as sparse_mod
 from ratespde import CAPLET, AmfrW2Config, DomainSpec, ProductSpec, combine, standard_plan
@@ -410,6 +412,23 @@ for _ in range(50):
     combine(standard_plan(4, 2), market, caplet, domain, AmfrW2Config(num_steps=1), threads=2)
 """)
         assert counts == [1] * 100  # two workers forked per call
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="no thread count here")
+    def test_one_worker_or_one_batch_forks_nothing(self):
+        # at one worker, or with the plan in one batch, the batches are
+        # solved in this process
+        counts = threads_at_forks("""
+import ratespde.sparse as sparse_mod
+from ratespde import CAPLET, AmfrW2Config, DomainSpec, ProductSpec, combine, full_plan, standard_plan
+from conftest import make_market
+market, caplet = make_market(sigma=0.3, phi=0.4), ProductSpec(CAPLET, 1, 2)
+domain = DomainSpec.for_product(market, caplet, f_max=0.04, v_max=3.5)
+sparse_mod._cores = lambda: 2  # two workers, whatever the machine
+cfg = AmfrW2Config(num_steps=1)
+combine(standard_plan(4, 2), market, caplet, domain, cfg, threads=1)
+combine(full_plan(4, 2), market, caplet, domain, cfg, threads=2)
+""")
+        assert counts == []
 
     def test_nonpositive_threads_rejected(self, market_flat, caplet, caplet_domain):
         for threads in (0, -3):

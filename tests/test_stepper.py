@@ -26,6 +26,7 @@ from reference import (
     ThetaGsIntegrator,
     assemble_directional_matrix,
     assemble_operator_matrix,
+    inner_mask,
 )
 from test_operator import make_operator
 
@@ -214,7 +215,7 @@ class TestGridStage:
         op = GridOperator(market_sv, caplet, shape)
         y0 = initial_state(market_sv, caplet, shape).values
         yT = integrate(op, y0, 0.5, AmfrW2Config(num_steps=4))
-        outer = ~shape.inner_mask()
+        outer = ~inner_mask(shape)
         assert np.abs(yT[outer] - y0[outer]).max() == 0.0
 
     @pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0, -0.5])
