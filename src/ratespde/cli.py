@@ -4,7 +4,9 @@ Reads a sectioned key=value run configuration, prices a combination
 plan (a full grid being the one-term plan) for every level and step
 count, prints a convergence table and optionally writes it as CSV.  The config grammar
 is documented in the README; unknown sections or keys are hard errors so
-typos never pass silently.
+typos never pass silently.  ``_SECTION_KEYS`` is the one place that
+states each key's value type: parsing converts by it and
+``serialize_config`` writes by it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from .market import (
     validate_domain,
 )
 from .sparse import (
-    FULL, MODIFIED, CombinationPlan, admit, combine, full_plan, modified_plan, standard_plan,
+    FULL, MODIFIED, CombinationPlan, CombinationTerm, admit, combine, full_plan, modified_plan,
+    standard_plan,
 )
 from .stepper import THETA_ORDER3, AmfrW2Config
 
@@ -37,31 +40,44 @@ SPARSE = "sparse"
 DEFAULT_LAMBDA = 0.1
 DEFAULT_MAX_NODES = 50_000_000
 
+
+def _reference(text: str) -> str | float | None:
+    """The ``reference`` value: 'black', None for 'none', or a number."""
+    return None if text == "none" else text if text == "black" else float(text)
+
+
+# Each key's value type: a number (float), an integer (int), a
+# comma-separated list of either ([float], [int]), text (str) or the
+# reference.  Key names are unique across sections, so ``_Raw.lines``
+# is keyed by name alone.
 _SECTION_KEYS = {
     "market": {
-        "tenor_dates",
-        "initial_forwards",
-        "alphas",
-        "phis",
-        "phi",
-        "sigma",
-        "lambda",
-        "beta",
+        "tenor_dates": [float],
+        "initial_forwards": [float],
+        "alphas": [float],
+        "phis": [float],
+        "phi": float,
+        "sigma": float,
+        "lambda": float,
+        "beta": float,
     },
-    "product": {"kind", "a", "b", "strike"},
-    "domain": {"f_max", "v_max", "v_eval", "eval_forwards"},
+    "product": {"kind": str, "a": int, "b": int, "strike": float},
+    "domain": {"f_max": float, "v_max": float, "v_eval": float, "eval_forwards": [float]},
     "solver": {
-        "technique",
-        "levels",
-        "steps",
-        "psi",
-        "theta",
-        "nu",
-        "threads",
-        "max_nodes",
+        "technique": str,
+        "levels": [int],
+        "steps": [int],
+        "psi": int,
+        "theta": float,
+        "nu": float,
+        "threads": int,
+        "max_nodes": int,
     },
-    "output": {"csv", "reference"},
+    "output": {"csv": str, "reference": _reference},
 }
+# What a value that fails to convert should have been, alone or listed
+_WHAT = {float: "a number", int: "an integer", _reference: "'black', 'none' or a number"}
+_WHAT_LISTED = {float: "numbers", int: "integers"}
 
 
 @dataclass(frozen=True)
@@ -92,45 +108,36 @@ class TableRow:
 
 
 class _Raw:
-    """Parsed key=value pairs with their line numbers, consumed key by key."""
+    """Parsed key=value texts and their line numbers, converted key by key."""
 
     def __init__(self) -> None:
-        self.values: dict[str, dict[str, tuple[str, int]]] = {s: {} for s in _SECTION_KEYS}
+        self.values: dict[str, dict[str, str]] = {s: {} for s in _SECTION_KEYS}
+        self.lines: dict[str, int] = {}
 
-    def take(self, section: str, key: str) -> tuple[str, int] | None:
-        return self.values[section].pop(key, None)
+    def take(self, section: str, key: str, default=None):
+        """The value of ``key`` as its ``_SECTION_KEYS`` type, or ``default`` if absent."""
+        text = self.values[section].pop(key, None)
+        if text is None:
+            return default
+        kind, line = _SECTION_KEYS[section][key], self.lines[key]
+        if not isinstance(kind, list):
+            try:
+                return kind(text)
+            except ValueError:
+                raise ConfigError(f"expected {_WHAT[kind]}, got {text!r}", line) from None
+        what = f"a comma-separated list of {_WHAT_LISTED[kind[0]]}"
+        parts = [p.strip() for p in text.split(",") if p.strip()]
+        if not parts:
+            raise ConfigError(f"expected {what}", line)
+        try:
+            return tuple(kind[0](p) for p in parts)
+        except ValueError:
+            raise ConfigError(f"expected {what}, got {text!r}", line) from None
 
-    def require(self, section: str, key: str) -> tuple[str, int]:
-        item = self.take(section, key)
-        if item is None:
+    def require(self, section: str, key: str):
+        if key not in self.values[section]:
             raise ConfigError(f"missing required key '{key}' in section [{section}]")
-        return item
-
-
-def _parse_scalar(raw: tuple[str, int], conv, what: str):
-    text, line = raw
-    try:
-        return conv(text)
-    except ValueError:
-        raise ConfigError(f"expected {what}, got {text!r}", line) from None
-
-
-def _parse_positive(raw: tuple[str, int], name: str) -> float:
-    value = _parse_scalar(raw, float, "a number")
-    if not 0.0 < value < math.inf:
-        raise ConfigError(f"{name} must be positive and finite", raw[1])
-    return value
-
-
-def _parse_list(raw: tuple[str, int], conv, what: str) -> tuple:
-    text, line = raw
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ConfigError(f"expected a comma-separated list of {what}", line)
-    try:
-        return tuple(conv(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"expected a comma-separated list of {what}, got {text!r}", line) from None
+        return self.take(section, key)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -162,7 +169,8 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"duplicate key '{key}' in section [{section}]", line_no)
         if not value:
             raise ConfigError(f"empty value for '{key}'", line_no)
-        raw.values[section][key] = (value, line_no)
+        raw.values[section][key] = value
+        raw.lines[key] = line_no
 
     market = _build_market(raw)
     product = _build_product(raw)
@@ -171,24 +179,16 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _build_market(raw: _Raw) -> MarketData:
-    dates = _parse_list(raw.require("market", "tenor_dates"), float, "numbers")
-    forwards = _parse_list(raw.require("market", "initial_forwards"), float, "numbers")
-    alphas = _parse_list(raw.require("market", "alphas"), float, "numbers")
-    sigma = _parse_scalar(raw.require("market", "sigma"), float, "a number")
-    beta = _parse_scalar(raw.require("market", "beta"), float, "a number")
-    lam_raw = raw.take("market", "lambda")
-    lam = _parse_scalar(lam_raw, float, "a number") if lam_raw else DEFAULT_LAMBDA
-    phis_raw = raw.take("market", "phis")
-    phi_raw = raw.take("market", "phi")
-    if phis_raw and phi_raw:
-        raise ConfigError("give either 'phi' or 'phis', not both", phi_raw[1])
-    if phis_raw:
-        phis = _parse_list(phis_raw, float, "numbers")
-    elif phi_raw:
-        phis = (_parse_scalar(phi_raw, float, "a number"),) * len(forwards)
-    else:
-        phis = (0.0,) * len(forwards)
-    strike = _parse_scalar(raw.require("product", "strike"), float, "a number")
+    dates = raw.require("market", "tenor_dates")
+    forwards = raw.require("market", "initial_forwards")
+    alphas = raw.require("market", "alphas")
+    sigma = raw.require("market", "sigma")
+    beta = raw.require("market", "beta")
+    lam = raw.take("market", "lambda", DEFAULT_LAMBDA)
+    if "phis" in raw.lines and "phi" in raw.lines:
+        raise ConfigError("give either 'phi' or 'phis', not both", raw.lines["phi"])
+    phis = raw.take("market", "phis") or (raw.take("market", "phi", 0.0),) * len(forwards)
+    strike = raw.require("product", "strike")
     try:
         return MarketData(dates, forwards, alphas, strike, sigma, phis, lam, beta)
     except ValueError as err:
@@ -196,16 +196,12 @@ def _build_market(raw: _Raw) -> MarketData:
 
 
 def _build_product(raw: _Raw) -> ProductSpec:
-    kind, line = raw.require("product", "kind")
+    kind = raw.require("product", "kind")
     if kind not in (CAPLET, SWAPTION):
-        raise ConfigError(f"unknown product kind {kind!r}", line)
-    a = _parse_scalar(raw.require("product", "a"), int, "an integer")
-    b_raw = raw.take("product", "b")
-    if b_raw is not None:
-        b = _parse_scalar(b_raw, int, "an integer")
-    elif kind == CAPLET:
-        b = a + 1
-    else:
+        raise ConfigError(f"unknown product kind {kind!r}", raw.lines["kind"])
+    a = raw.require("product", "a")
+    b = raw.take("product", "b", a + 1 if kind == CAPLET else None)
+    if b is None:
         raise ConfigError("swaptions need 'b' in section [product]")
     try:
         return ProductSpec(kind, a, b)
@@ -214,12 +210,10 @@ def _build_product(raw: _Raw) -> ProductSpec:
 
 
 def _build_domain(raw: _Raw, market: MarketData, product: ProductSpec) -> DomainSpec:
-    f_max = _parse_scalar(raw.require("domain", "f_max"), float, "a number")
-    v_max = _parse_scalar(raw.require("domain", "v_max"), float, "a number")
-    v_eval_raw = raw.take("domain", "v_eval")
-    v_eval = _parse_scalar(v_eval_raw, float, "a number") if v_eval_raw else 1.0
-    ef_raw = raw.take("domain", "eval_forwards")
-    eval_forwards = _parse_list(ef_raw, float, "numbers") if ef_raw else None
+    f_max = raw.require("domain", "f_max")
+    v_max = raw.require("domain", "v_max")
+    v_eval = raw.take("domain", "v_eval", 1.0)
+    eval_forwards = raw.take("domain", "eval_forwards")
     try:
         return DomainSpec.for_product(market, product, f_max, v_max, v_eval, eval_forwards)
     except ValueError as err:
@@ -238,64 +232,51 @@ def _plan(technique: str, level: int, dims: int, psi: int) -> CombinationPlan:
 def _build_solver_output(
     raw: _Raw, market: MarketData, product: ProductSpec, domain: DomainSpec
 ) -> RunConfig:
-    technique_raw = raw.require("solver", "technique")
-    technique = technique_raw[0]
+    technique = raw.require("solver", "technique")
     if technique not in (FULL, SPARSE, MODIFIED):
-        raise ConfigError(f"unknown technique {technique!r}", technique_raw[1])
-    levels_raw = raw.require("solver", "levels")
-    levels = _parse_list(levels_raw, int, "integers")
-    steps_raw = raw.require("solver", "steps")
-    steps = _parse_list(steps_raw, int, "integers")
+        raise ConfigError(f"unknown technique {technique!r}", raw.lines["technique"])
+    levels = raw.require("solver", "levels")
+    steps = raw.require("solver", "steps")
     if any(s < 1 for s in steps):
-        raise ConfigError("steps must be positive", steps_raw[1])
-    psi_raw = raw.take("solver", "psi")
-    if technique == MODIFIED:
-        if psi_raw is None:
-            raise ConfigError("technique 'modified' needs 'psi' in section [solver]")
-        psi = _parse_scalar(psi_raw, int, "an integer")
-        if psi < 0:
-            raise ConfigError("psi must be nonnegative", psi_raw[1])
-    else:
-        if psi_raw is not None:
-            raise ConfigError("'psi' only applies to technique 'modified'", psi_raw[1])
-        psi = 0
-    for level in levels:
+        raise ConfigError("steps must be positive", raw.lines["steps"])
+    if technique != MODIFIED and "psi" in raw.lines:
+        raise ConfigError("'psi' only applies to technique 'modified'", raw.lines["psi"])
+    psi = raw.take("solver", "psi", None if technique == MODIFIED else 0)
+    if psi is None:
+        raise ConfigError("technique 'modified' needs 'psi' in section [solver]")
+    if psi < 0:
+        raise ConfigError("psi must be nonnegative", raw.lines["psi"])
+    dims = product.dimension
+    for level in levels:  # a level of at least dims - 1 is in range: build no larger plan
         try:
-            _plan(technique, level, product.dimension, psi)
+            _plan(technique, min(level, dims - 1), dims, psi)
         except ValueError as err:
-            raise ConfigError(str(err), levels_raw[1]) from None
-    theta_raw = raw.take("solver", "theta")
-    theta = _parse_positive(theta_raw, "theta") if theta_raw else THETA_ORDER3
-    nu_raw = raw.take("solver", "nu")
-    nu = _parse_positive(nu_raw, "nu") if nu_raw else None
-    threads_raw = raw.take("solver", "threads")
-    threads = _parse_scalar(threads_raw, int, "an integer") if threads_raw else None
+            raise ConfigError(str(err), raw.lines["levels"]) from None
+    theta = raw.take("solver", "theta", THETA_ORDER3)
+    if not 0.0 < theta < math.inf:
+        raise ConfigError("theta must be positive and finite", raw.lines["theta"])
+    nu = raw.take("solver", "nu")
+    if nu is not None and not 0.0 < nu < math.inf:
+        raise ConfigError("nu must be positive and finite", raw.lines["nu"])
+    threads = raw.take("solver", "threads")
     if threads is not None and threads < 1:
-        raise ConfigError("threads must be at least 1", threads_raw[1])
-    cap_raw = raw.take("solver", "max_nodes")
-    max_nodes = _parse_scalar(cap_raw, int, "an integer") if cap_raw else DEFAULT_MAX_NODES
+        raise ConfigError("threads must be at least 1", raw.lines["threads"])
+    max_nodes = raw.take("solver", "max_nodes", DEFAULT_MAX_NODES)
     if max_nodes < 1:
-        raise ConfigError("max_nodes must be at least 1", cap_raw[1])
-    csv_raw = raw.take("output", "csv")
-    csv_path = csv_raw[0] if csv_raw else None
-    ref_raw = raw.take("output", "reference")
-    reference: str | float | None
-    if ref_raw is None or ref_raw[0] == "none":
-        reference = None
-    elif ref_raw[0] == "black":
+        raise ConfigError("max_nodes must be at least 1", raw.lines["max_nodes"])
+    csv_path = raw.take("output", "csv")
+    reference = raw.take("output", "reference")
+    if reference == "black":
         if product.kind != CAPLET or market.sigma != 0.0:
             raise ConfigError(
-                "reference 'black' is only valid for caplets with sigma = 0", ref_raw[1]
+                "reference 'black' is only valid for caplets with sigma = 0", raw.lines["reference"]
             )
         try:  # the price must exist, not only the product
             black_caplet_price(market, product.expiry_index)
         except ValueError as err:
-            raise ConfigError(str(err), ref_raw[1]) from None
-        reference = "black"
-    else:
-        reference = _parse_scalar(ref_raw, float, "'black', 'none' or a number")
-        if not math.isfinite(reference):
-            raise ConfigError("reference must be finite", ref_raw[1])
+            raise ConfigError(str(err), raw.lines["reference"]) from None
+    elif reference is not None and not math.isfinite(reference):
+        raise ConfigError("reference must be finite", raw.lines["reference"])
     return RunConfig(
         market,
         product,
@@ -313,59 +294,58 @@ def _build_solver_output(
     )
 
 
+def _write(value, kind) -> str:
+    """``value`` as text that its ``_SECTION_KEYS`` type ``kind`` converts back to it."""
+    if isinstance(kind, list):
+        return ", ".join(_write(v, kind[0]) for v in value)
+    return repr(float(value)) if kind is float else str(value)
+
+
 def serialize_config(cfg: RunConfig) -> str:
-    """Canonical text form; parsing it back reproduces the config exactly."""
+    """Canonical text form; parsing it back reproduces the config exactly.
+
+    A key whose value is None is left out, so it takes its default.
+    """
     m, p, d = cfg.market, cfg.product, cfg.domain
-
-    def numbers(values) -> str:
-        return ", ".join(repr(float(v)) for v in values)
-
-    lines = [
-        "[market]",
-        f"tenor_dates = {numbers(m.tenor_dates)}",
-        f"initial_forwards = {numbers(m.initial_forwards)}",
-        f"alphas = {numbers(m.alphas)}",
-        f"phis = {numbers(m.phis)}",
-        f"sigma = {m.sigma!r}",
-        f"lambda = {m.lam!r}",
-        f"beta = {m.beta!r}",
-        "",
-        "[product]",
-        f"kind = {p.kind}",
-        f"a = {p.expiry_index}",
-        f"b = {p.end_index}",
-        f"strike = {m.strike!r}",
-        "",
-        "[domain]",
-        f"f_max = {d.f_max!r}",
-        f"v_max = {d.v_max!r}",
-        f"v_eval = {d.eval_point[-1]!r}",
-        f"eval_forwards = {numbers(d.eval_point[:-1])}",
-        "",
-        "[solver]",
-        f"technique = {cfg.technique}",
-        f"levels = {', '.join(str(l) for l in cfg.levels)}",
-        f"steps = {', '.join(str(s) for s in cfg.steps)}",
-    ]
-    if cfg.technique == MODIFIED:
-        lines.append(f"psi = {cfg.psi}")
-    lines.append(f"theta = {cfg.theta!r}")
-    if cfg.nu is not None:
-        lines.append(f"nu = {cfg.nu!r}")
-    if cfg.threads is not None:
-        lines.append(f"threads = {cfg.threads}")
-    lines.append(f"max_nodes = {cfg.max_nodes}")
-    lines.append("")
-    lines.append("[output]")
-    if cfg.csv_path is not None:
-        lines.append(f"csv = {cfg.csv_path}")
-    if cfg.reference is None:
-        lines.append("reference = none")
-    elif cfg.reference == "black":
-        lines.append("reference = black")
-    else:
-        lines.append(f"reference = {cfg.reference!r}")
-    lines.append("")
+    sections = {
+        "market": {
+            "tenor_dates": m.tenor_dates,
+            "initial_forwards": m.initial_forwards,
+            "alphas": m.alphas,
+            "phis": m.phis,
+            "sigma": m.sigma,
+            "lambda": m.lam,
+            "beta": m.beta,
+        },
+        "product": {"kind": p.kind, "a": p.expiry_index, "b": p.end_index, "strike": m.strike},
+        "domain": {
+            "f_max": d.f_max,
+            "v_max": d.v_max,
+            "v_eval": d.eval_point[-1],
+            "eval_forwards": d.eval_point[:-1],
+        },
+        "solver": {
+            "technique": cfg.technique,
+            "levels": cfg.levels,
+            "steps": cfg.steps,
+            "psi": cfg.psi if cfg.technique == MODIFIED else None,
+            "theta": cfg.theta,
+            "nu": cfg.nu,
+            "threads": cfg.threads,
+            "max_nodes": cfg.max_nodes,
+        },
+        "output": {
+            "csv": cfg.csv_path,
+            "reference": "none" if cfg.reference is None else cfg.reference,
+        },
+    }
+    lines = []
+    for section, values in sections.items():
+        lines.append(f"[{section}]")
+        for key, value in values.items():
+            if value is not None:
+                lines.append(f"{key} = {_write(value, _SECTION_KEYS[section][key])}")
+        lines.append("")
     return "\n".join(lines)
 
 
@@ -401,14 +381,20 @@ def _format_row(row: TableRow) -> str:
 def run(cfg: RunConfig, *, quiet: bool = False) -> list[TableRow]:
     """Execute every (steps, level) cell of the schedule and tabulate.
 
-    Every level's plan is admitted (see ``admit``) before the first is priced.
+    Every level is admitted (see ``admit``) before the first is priced,
+    and each before its plan is built: a plan's first term is its
+    largest, so a level is admitted by that term alone.
     """
     for violation in validate_domain(cfg.market, cfg.domain, cfg.product):
         print(f"warning: {violation}", file=sys.stderr)
     reference = _resolve_reference(cfg)
-    plans = [_plan(cfg.technique, level, cfg.product.dimension, cfg.psi) for level in cfg.levels]
-    for plan in plans:
-        admit(plan, cfg.product, cfg.domain, cfg.max_nodes)
+    dims, psi = cfg.product.dimension, cfg.psi
+    plans = []
+    for level in cfg.levels:
+        first = (level,) * dims if cfg.technique == FULL else (level + psi,) + (psi,) * (dims - 1)
+        head = CombinationPlan(cfg.technique, level, dims, psi, (CombinationTerm(first, 1),))
+        admit(head, cfg.product, cfg.domain, cfg.max_nodes)
+        plans.append(_plan(cfg.technique, level, dims, psi))
     rows: list[TableRow] = []
     if not quiet:
         print(_HEADER)

@@ -9,6 +9,8 @@ import pytest
 import ratespde.operator as operator_mod
 from ratespde import (
     AmfrW2Config,
+    CombinationTerm,
+    ComponentSolveError,
     ConfigError,
     THETA_ORDER3,
     black_caplet_price,
@@ -53,6 +55,23 @@ SPARSE_CAPLET = MINIMAL_CAPLET.replace("technique = full", "technique = sparse")
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# Replacement values for the config fuzz: non-finite, negative, zero,
+# fractional and overflowing numbers, text, lists and the reference words
+FUZZ_VALUES = (
+    "nan", "inf", "-inf", "-1", "0", "7", "2.5", "1e400", "abc", "1,2", ",", "1, abc", "black", "none",
+)
+
+
+def _fuzzed(text: str):
+    """``text`` with each value line in turn removed or given each of ``FUZZ_VALUES``."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        key, sep, _ = line.partition("=")
+        if not sep or line.lstrip().startswith("#"):
+            continue
+        for new in [[]] + [[f"{key.strip()} = {value}"] for value in FUZZ_VALUES]:
+            yield "\n".join(lines[:i] + new + lines[i + 1 :]) + "\n"
 
 
 def _python(*args: str) -> subprocess.CompletedProcess:
@@ -233,6 +252,22 @@ reference = 21.5
         assert cfg.market.phis == (0.4, 0.4, 0.4)
         assert parse_config(serialize_config(cfg)) == cfg
 
+    def test_fuzzed_shipped_configs_fail_cleanly_or_round_trip(self):
+        # any other exception than ConfigError escapes and fails the test
+        cases = accepted = 0
+        for path in sorted(CONFIGS.glob("*.txt")):
+            for text in _fuzzed(path.read_text(encoding="utf-8")):
+                cases += 1
+                try:
+                    cfg = parse_config(text)
+                except ConfigError:
+                    continue
+                accepted += 1
+                written = serialize_config(cfg)
+                assert parse_config(written) == cfg
+                assert serialize_config(parse_config(written)) == written
+        assert (cases, accepted) == (720, 86)
+
 
 class TestRun:
     def test_full_rows_match_component_solver(self, tmp_path):
@@ -328,6 +363,24 @@ for config in [text.replace("steps = 4", "steps = 1")] + [text] * 5:
         rows = run(cfg, quiet=True)
         assert len(rows) == 1
         assert "warning:" in capsys.readouterr().err
+
+    def test_oversized_level_refused_before_its_plan_is_enumerated(self, monkeypatch):
+        # the level-400 plan of this 3D swaption has about 240,000 terms;
+        # its first term is its largest, and is refused before the others
+        # are drawn, both when the config is parsed and when it is run
+        built = []
+        init = CombinationTerm.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CombinationTerm, "__init__", counted)
+        text = (CONFIGS / "swaption_modified.txt").read_text(encoding="utf-8")
+        cfg = parse_config(text.replace("levels = 6, 8, 10", "levels = 400"))
+        with pytest.raises(ComponentSolveError, match=r"^component grid \(401, 1, 1\) failed$"):
+            run(cfg, quiet=True)
+        assert 0 < len(built) < 100
 
 
 class TestMain:
