@@ -18,7 +18,6 @@ from .market import (
     ProductSpec,
     black_caplet_price,
     drift_weight,
-    payoff,
     product_discount,
     validate_domain,
 )

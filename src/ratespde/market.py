@@ -6,9 +6,9 @@ the common stochastic-volatility state V.  A product selects a block of
 forwards out of the tenor structure; "local" direction i maps to tenor
 index a + i - 1 for a product exercising at T_a.
 
-Everything here is a pure function of immutable inputs and accepts numpy
-arrays wherever a rate appears, so the grid operator can broadcast the
-same formulas over coordinate axes.
+Everything here is a pure function of immutable inputs.  ``PdeModel``
+evaluates the PDE's formulas at one point whose coordinates may be numpy
+arrays, so the grid operator broadcasts them over coordinate axes.
 """
 
 from __future__ import annotations
@@ -172,16 +172,15 @@ class DomainSpec:
 
 def drift_weight(x, tau: float, beta: float):
     """The weight tau*x^beta / (1 + tau*x) entering the forward-rate drifts."""
-    x = np.asarray(x, dtype=float)
-    out = tau * x**beta / (1.0 + tau * x)
-    return out if out.ndim else float(out)
+    return tau * x**beta / (1.0 + tau * x)
 
 
 class PdeModel:
-    """Coefficient functions of the pricing PDE for one product.
+    """Coefficient functions and payoff of the pricing PDE for one product.
 
     Local direction i in 1..N-1 is forward F_{a+i-1}; direction N is the
-    volatility state.  All evaluators broadcast over numpy inputs.
+    volatility state.  Each evaluator takes one point x, a coordinate per
+    direction in direction order, each a number or a broadcastable array.
     """
 
     def __init__(self, market: MarketData, product: ProductSpec):
@@ -207,96 +206,76 @@ class PdeModel:
         a = self.product.expiry_index
         return self.market.correlation(a + i - 1, a + j - 1)
 
-    def diffusion(self, i: int, f_i, v):
-        """Second-derivative coefficient along direction i.
+    def diffusion(self, i: int, x):
+        """Second-derivative coefficient along direction i at point x.
 
         d_i = alpha_i^2/2 * F_i^(2 beta) * V^2 for a forward direction and
         d_N = sigma^2/2 * V^2 for the volatility direction.
         """
-        self._check_direction(i)
+        *f, v = self._point(x, i)
         if i == self.n_dims:
-            out = 0.5 * self.market.sigma**2 * np.asarray(v, dtype=float) ** 2
-            return out if out.ndim else float(out)
-        beta = self.market.beta
-        f_i = np.asarray(f_i, dtype=float)
-        v = np.asarray(v, dtype=float)
-        out = 0.5 * self.alpha(i) ** 2 * f_i ** (2.0 * beta) * v**2
-        return out if out.ndim else float(out)
+            return 0.5 * self.market.sigma**2 * v**2
+        return 0.5 * self.alpha(i) ** 2 * f[i - 1] ** (2.0 * self.market.beta) * v**2
 
-    def mixed(self, i: int, k: int, f_i, f_k, v):
-        """Cross-derivative coefficient for directions i < k.
+    def mixed(self, i: int, k: int, x):
+        """Cross-derivative coefficient for directions i < k at point x.
 
         m_ik = alpha_i alpha_k rho_ik F_i^beta F_k^beta V^2 between two
         forwards, and alpha_i sigma phi_i F_i^beta V^2 against volatility.
         """
-        self._check_direction(i)
-        self._check_direction(k)
+        *f, v = self._point(x, i, k)
         if not i < k:
             raise ValueError("mixed coefficient requires i < k")
         beta = self.market.beta
-        f_i = np.asarray(f_i, dtype=float)
-        v = np.asarray(v, dtype=float)
         if k == self.n_dims:
-            out = self.alpha(i) * self.market.sigma * self.phi(i) * f_i**beta * v**2
-        else:
-            f_k = np.asarray(f_k, dtype=float)
-            out = self.alpha(i) * self.alpha(k) * self.rho(i, k) * f_i**beta * f_k**beta * v**2
-        return out if out.ndim else float(out)
+            return self.alpha(i) * self.market.sigma * self.phi(i) * f[i - 1] ** beta * v**2
+        return self.alpha(i) * self.alpha(k) * self.rho(i, k) * f[i - 1] ** beta * f[k - 1] ** beta * v**2
 
-    def advection(self, i: int, forwards, v):
-        """First-derivative coefficient along direction i = 2..N-1.
+    def advection(self, i: int, x):
+        """First-derivative coefficient along direction i = 2..N-1 at point x.
 
         a_i = (sum_{j=2..i} alpha_i alpha_j rho_ij w(F_j, tau_j)) F_i^beta V^2
-        with the drift weight w; ``forwards`` supplies F_2..F_i in order.
+        with the drift weight w.
         """
         if self.n_dims < 3:
             raise ValueError("advection requires at least two forwards")
         if not 2 <= i <= self.n_dims - 1:
             raise ValueError(f"advection direction {i} outside 2..{self.n_dims - 1}")
-        if len(forwards) != i - 1:
-            raise ValueError(f"expected forwards F_2..F_{i}, got {len(forwards)} values")
+        *f, v = self._point(x)
         beta = self.market.beta
-        v = np.asarray(v, dtype=float)
-        f_i = np.asarray(forwards[-1], dtype=float)
         acc = 0.0
         for j in range(2, i + 1):
-            w = drift_weight(forwards[j - 2], self.tau(j), beta)
+            w = drift_weight(f[j - 1], self.tau(j), beta)
             acc = acc + self.alpha(i) * self.alpha(j) * self.rho(i, j) * w
-        out = acc * f_i**beta * v**2
-        out = np.asarray(out)
-        return out if out.ndim else float(out)
+        return acc * f[i - 1] ** beta * v**2
 
-    def _check_direction(self, i: int) -> None:
-        if not 1 <= i <= self.n_dims:
-            raise ValueError(f"direction {i} outside 1..{self.n_dims}")
+    def payoff(self, x):
+        """Exercise value at point x; it reads the forwards only.
 
+        A caplet pays tau_a (F_a - K)^+ in units of the T_{a+1} bond; the
+        swaption pays the positive part of the swap annuity sum
 
-def payoff(market: MarketData, product: ProductSpec, forwards):
-    """Exercise value as a function of the participating forwards.
+            sum_i tau_i (F_i - K) / prod_{l<=i} (1 + tau_l F_l).
+        """
+        *f, _ = self._point(x)
+        strike = self.market.strike
+        if self.product.kind == CAPLET:
+            return self.tau(1) * np.maximum(f[0] - strike, 0.0)
+        annuity = 1.0
+        acc = 0.0
+        for i in range(1, self.n_dims):
+            annuity = annuity * (1.0 + self.tau(i) * f[i - 1])
+            acc = acc + self.tau(i) * (f[i - 1] - strike) / annuity
+        return np.maximum(acc, 0.0)
 
-    ``forwards`` is a sequence of N-1 broadcastable values, local order.
-    A caplet pays tau_a (F_a - K)^+ in units of the T_{a+1} bond; the
-    swaption pays the positive part of the swap annuity sum
-
-        sum_i tau_i (F_i - K) / prod_{l<=i} (1 + tau_l F_l).
-    """
-    product.check_against(market)
-    if len(forwards) != product.n_forwards:
-        raise ValueError("payoff needs one value per participating forward")
-    strike = market.strike
-    taus = [market.taus[i] for i in product.forward_indices()]
-    if product.kind == CAPLET:
-        f = np.asarray(forwards[0], dtype=float)
-        out = taus[0] * np.maximum(f - strike, 0.0)
-        return out if out.ndim else float(out)
-    annuity = 1.0
-    acc = 0.0
-    for tau, f in zip(taus, forwards):
-        f = np.asarray(f, dtype=float)
-        annuity = annuity * (1.0 + tau * f)
-        acc = acc + tau * (f - strike) / annuity
-    out = np.maximum(acc, 0.0)
-    return out if out.ndim else float(out)
+    def _point(self, x, *directions: int) -> list:
+        """Point x's coordinates as float arrays, once the directions and its length are checked."""
+        for i in directions:
+            if not 1 <= i <= self.n_dims:
+                raise ValueError(f"direction {i} outside 1..{self.n_dims}")
+        if len(x) != self.n_dims:
+            raise ValueError(f"a point has {self.n_dims} coordinates, got {len(x)}")
+        return [np.asarray(c, dtype=float) for c in x]
 
 
 def product_discount(market: MarketData, product: ProductSpec) -> float:

@@ -73,7 +73,7 @@ import numpy as np
 import scipy
 
 from .indexing import GridShape
-from .market import MarketData, PdeModel, ProductSpec, payoff
+from .market import MarketData, PdeModel, ProductSpec
 
 # Grids of at most this many nodes apply the operator as one CSR matrix
 # product, and only they can share an operator.  Below it CSR beats the
@@ -295,11 +295,11 @@ class GridOperator:
                 vals = vals[1:-1] if r == n else vals
                 return vals.reshape([vals.size if a == n - r else 1 for a in range(n)])
 
-            xs = {r: x(r) for r in range(1, n + 1)}
+            xs = [x(r) for r in range(1, n + 1)]
             # True where 0 < j_r < M_r: cross and drift terms skip the upper
             # faces; index 0 and the ghost are never copied out, so zero
             # there lets a one-interval direction drop its terms
-            below = {r: (0.0 < v) & (v < shape.bounds[r - 1]) for r, v in xs.items()}
+            below = {r: (0.0 < v) & (v < shape.bounds[r - 1]) for r, v in enumerate(xs, 1)}
 
             # the stencil terms, in order: coef * (in_1 +- in_2 +- ...) over
             # the slab (the coefficient carries the 1/h^2, 1/(2h) or
@@ -319,7 +319,7 @@ class GridOperator:
             lines: dict[int, tuple[tuple[int, ...], np.ndarray]] = {}
             for i in range(1, n + 1):
                 # d_i/h_i^2 over the slab, and over its inner rows 1..M_i
-                d = model.diffusion(i, xs[i], xs[n]) / h[i - 1] ** 2
+                d = model.diffusion(i, xs) / h[i - 1] ** 2
                 inner = d[(slice(None),) * (n - i) + (slice(1, -1),)] if i < n else d
                 if not np.any(inner):
                     continue
@@ -334,11 +334,11 @@ class GridOperator:
                 add(d, (1, {i: 1}), (1, {i: -1}), (-1, {}), (-1, {}))
             for i in range(1, n):
                 for k in range(i + 1, n + 1):
-                    coef = model.mixed(i, k, xs[i], xs[k], xs[n]) / (4.0 * h[i - 1] * h[k - 1])
+                    coef = model.mixed(i, k, xs) / (4.0 * h[i - 1] * h[k - 1])
                     add(coef * (below[i] & below[k]), (1, {i: 1, k: 1}), (1, {i: -1, k: -1}),
                         (-1, {i: 1, k: -1}), (-1, {i: -1, k: 1}))
             for i in range(2, n):
-                coef = model.advection(i, [xs[j] for j in range(2, i + 1)], xs[n])
+                coef = model.advection(i, xs)
                 add(coef / (2.0 * h[i - 1]) * below[i], (1, {i: 1}), (-1, {i: -1}))
             if small:
                 nodes = np.arange(start, start + shape.total_points, dtype=np.int32).reshape(rev)
@@ -731,13 +731,9 @@ def initial_state(market: MarketData, product: ProductSpec, shape: GridShape) ->
             f"grid has {shape.ndim} directions, product needs {product.dimension}"
         )
     n = shape.ndim
-    forwards = []
-    for loc in range(1, n):
-        vals = shape.axis_coordinates(loc)
-        shp = [1] * n
-        shp[shape.axis_of(loc)] = vals.size
-        forwards.append(vals.reshape(shp))
-    g = np.asarray(payoff(market, product, forwards), dtype=float)
+    x = [shape.axis_coordinates(r).reshape([-1 if a == n - r else 1 for a in range(n)])
+         for r in range(1, n + 1)]
+    g = PdeModel(market, product).payoff(x)
     full = np.broadcast_to(g, shape.reversed_points)
     return StateVector(shape, np.ascontiguousarray(full).reshape(-1))
 

@@ -240,7 +240,9 @@ def _batches(points: Sequence[int], dims: int, workers: int) -> list[range]:
     run is also cut before its CSR matrix could pass
     ``MAX_BATCH_NONZEROS``, counting 2*dims**2 + 3*dims entries per node,
     4 more than a row holds at most (3 per diffusion, 4 per cross and 2
-    per drift term: 10 in 2D, 23 in 3D).
+    per drift term: 10 in 2D, 23 in 3D).  The over-count stays: the exact
+    bound gave ``sparse2d`` 2 batches, not 3, and 0.6-0.8 MB more peak RSS
+    in 7 of 7 runs, its time change unresolved (ROADMAP, rejected designs).
     """
     small = sum(p for p in points if p <= CSR_MAX_NODES)
     per_node = 2 * dims * dims + 3 * dims

@@ -49,9 +49,8 @@ def _assemble(op, node_cap: int | None, directions, coupling: bool) -> sp.csr_ma
         if any(c == 0 for c in j):
             continue
         x = shape.coordinate(j)
-        v_state = x[n - 1]
         for i in directions:
-            d = model.diffusion(i, x[i - 1], v_state)
+            d = model.diffusion(i, x)
             if d == 0.0:
                 continue
             scale = d / h[i - 1] ** 2
@@ -69,7 +68,7 @@ def _assemble(op, node_cap: int | None, directions, coupling: bool) -> sp.csr_ma
             for k in range(i + 1, n + 1):
                 if j[i - 1] == counts[i - 1] or j[k - 1] == counts[k - 1]:
                     continue
-                m = model.mixed(i, k, x[i - 1], x[k - 1], v_state)
+                m = model.mixed(i, k, x)
                 if m == 0.0:
                     continue
                 scale = m / (4.0 * h[i - 1] * h[k - 1])
@@ -81,7 +80,7 @@ def _assemble(op, node_cap: int | None, directions, coupling: bool) -> sp.csr_ma
         for i in range(2, n):
             if j[i - 1] == counts[i - 1]:
                 continue
-            a = model.advection(i, [x[r - 1] for r in range(2, i + 1)], v_state)
+            a = model.advection(i, x)
             if a == 0.0:
                 continue
             scale = a / (2.0 * h[i - 1])

@@ -14,7 +14,6 @@ from ratespde import (
     ProductSpec,
     black_caplet_price,
     drift_weight,
-    payoff,
     product_discount,
     validate_domain,
 )
@@ -120,14 +119,19 @@ class TestMarketData:
         (lambda m: DomainSpec.for_product(m, ProductSpec(CAPLET, 1, 2), 0.04, 3.5,
                                           eval_forwards=(0.01, 0.02)), ValueError,
          "eval_forwards length"),
-        (lambda m: PdeModel(m, ProductSpec(SWAPTION, 1, 3)).advection(1, [], 1.0), ValueError,
-         r"advection direction 1 outside 2\.\.2"),
-        (lambda m: PdeModel(m, ProductSpec(SWAPTION, 1, 3)).advection(2, [], 1.0), ValueError,
-         "expected forwards F_2..F_2, got 0 values"),
-        (lambda m: PdeModel(m, ProductSpec(SWAPTION, 1, 3)).mixed(0, 2, 0.01, 0.01, 1.0), ValueError,
-         r"direction 0 outside 1\.\.3"),
-        (lambda m: payoff(m, ProductSpec(CAPLET, 1, 2), [0.01, 0.02]), ValueError,
-         "one value per participating forward"),
+        (lambda m: PdeModel(m, ProductSpec(SWAPTION, 1, 3)).advection(1, (0.01, 0.01, 1.0)),
+         ValueError, r"advection direction 1 outside 2\.\.2"),
+        (lambda m: PdeModel(m, ProductSpec(SWAPTION, 1, 3)).mixed(0, 2, (0.01, 0.01, 1.0)),
+         ValueError, r"direction 0 outside 1\.\.3"),
+        # a point has one coordinate per direction, V included
+        (lambda m: PdeModel(m, ProductSpec(CAPLET, 1, 2)).diffusion(1, (0.01,)), ValueError,
+         "a point has 2 coordinates, got 1"),
+        (lambda m: PdeModel(m, ProductSpec(SWAPTION, 1, 3)).mixed(1, 2, (0.01, 0.01, 0.01, 1.0)),
+         ValueError, "a point has 3 coordinates, got 4"),
+        (lambda m: PdeModel(m, ProductSpec(SWAPTION, 1, 3)).advection(2, (0.01, 1.0)), ValueError,
+         "a point has 3 coordinates, got 2"),
+        (lambda m: PdeModel(m, ProductSpec(CAPLET, 1, 2)).payoff((0.01, 0.02, 1.0)), ValueError,
+         "a point has 2 coordinates, got 3"),
     ])
     def test_bad_call_rejected_with_cause(self, market_flat, call, error, cause):
         with pytest.raises(error, match=cause):
@@ -164,60 +168,60 @@ class TestProductSpec:
 class TestCoefficients:
     def test_diffusion_zero_forward(self, market_sv):
         model = PdeModel(market_sv, ProductSpec(CAPLET, 1, 2))
-        assert model.diffusion(1, 0.0, 1.0) == 0.0
+        assert model.diffusion(1, (0.0, 1.0)) == 0.0
 
     def test_diffusion_vol_direction(self, market_sv, caplet):
         model = PdeModel(market_sv, caplet)
-        assert model.diffusion(2, None, 1.0) == pytest.approx(0.045, rel=1e-14)
+        assert model.diffusion(2, (0.0118, 1.0)) == pytest.approx(0.045, rel=1e-14)
 
     def test_diffusion_worked_example(self, market_sv, caplet):
         model = PdeModel(market_sv, caplet)
         expected = 0.5 * 0.2366**2 * 0.0118**2
-        assert model.diffusion(1, 0.0118, 1.0) == pytest.approx(expected, rel=1e-14)
+        assert model.diffusion(1, (0.0118, 1.0)) == pytest.approx(expected, rel=1e-14)
 
     def test_diffusion_vanishes_with_vol_state(self, market_sv, swaption3):
         model = PdeModel(market_sv, swaption3)
         for i in (1, 2, 3):
-            assert model.diffusion(i, 0.02, 0.0) == 0.0
+            assert model.diffusion(i, (0.02, 0.02, 0.0)) == 0.0
 
     def test_mixed_zero_volofvol(self, market_flat, caplet):
         model = PdeModel(market_flat, caplet)
-        assert model.mixed(1, 2, 0.0118, None, 1.0) == 0.0
+        assert model.mixed(1, 2, (0.0118, 1.0)) == 0.0
 
     def test_mixed_against_vol_worked_example(self, market_sv, caplet):
         model = PdeModel(market_sv, caplet)
         expected = 0.2366 * 0.3 * 0.4 * 0.0118
-        assert model.mixed(1, 2, 0.0118, None, 1.0) == pytest.approx(expected, rel=1e-14)
+        assert model.mixed(1, 2, (0.0118, 1.0)) == pytest.approx(expected, rel=1e-14)
 
     def test_mixed_between_forwards(self, market_sv, swaption3):
         model = PdeModel(market_sv, swaption3)
         expected = 0.2366 * 0.2145 * math.exp(-0.05) * 0.0118 * 0.0122
-        assert model.mixed(1, 2, 0.0118, 0.0122, 1.0) == pytest.approx(expected, rel=1e-14)
-        assert model.mixed(1, 2, 0.0, 0.0, 1.0) == 0.0
+        assert model.mixed(1, 2, (0.0118, 0.0122, 1.0)) == pytest.approx(expected, rel=1e-14)
+        assert model.mixed(1, 2, (0.0, 0.0, 1.0)) == 0.0
 
     def test_mixed_requires_ordered_directions(self, market_sv, swaption3):
         model = PdeModel(market_sv, swaption3)
         with pytest.raises(ValueError):
-            model.mixed(2, 1, 0.01, 0.01, 1.0)
+            model.mixed(2, 1, (0.01, 0.01, 1.0))
 
     def test_advection_zero_vol_state(self, market_sv, swaption3):
         model = PdeModel(market_sv, swaption3)
-        assert model.advection(2, [0.0122], 0.0) == 0.0
+        assert model.advection(2, (0.0118, 0.0122, 0.0)) == 0.0
 
     def test_advection_zero_forward(self, market_sv, swaption3):
         model = PdeModel(market_sv, swaption3)
-        assert model.advection(2, [0.0], 1.0) == 0.0
+        assert model.advection(2, (0.0118, 0.0, 1.0)) == 0.0
 
     def test_advection_worked_example(self, market_sv, swaption3):
         # direction 2 of the 0.5x1 swaption is the tenor-2 forward
         model = PdeModel(market_sv, swaption3)
         expected = 0.2145**2 * (0.5 * 0.0122 / (1 + 0.5 * 0.0122)) * 0.0122
-        assert model.advection(2, [0.0122], 1.0) == pytest.approx(expected, rel=1e-14)
+        assert model.advection(2, (0.0118, 0.0122, 1.0)) == pytest.approx(expected, rel=1e-14)
 
     def test_advection_needs_enough_directions(self, market_sv, caplet):
         model = PdeModel(market_sv, caplet)
         with pytest.raises(ValueError):
-            model.advection(2, [0.0122], 1.0)
+            model.advection(2, (0.0122, 1.0))
 
     def test_drift_weight_formula(self):
         assert drift_weight(0.0122, 0.5, 1.0) == pytest.approx(
@@ -237,29 +241,29 @@ class TestCoefficients:
 
 class TestPayoff:
     def test_caplet_at_the_money(self, market_flat, caplet):
-        assert payoff(market_flat, caplet, [0.011]) == 0.0
+        assert PdeModel(market_flat, caplet).payoff((0.011, 1.0)) == 0.0
 
     def test_caplet_worked_example(self, market_flat, caplet):
-        assert payoff(market_flat, caplet, [0.0118]) == pytest.approx(0.0004, rel=1e-12)
+        assert PdeModel(market_flat, caplet).payoff((0.0118, 1.0)) == pytest.approx(0.0004, rel=1e-12)
 
     def test_caplet_never_negative(self, market_flat, caplet):
         rates = np.linspace(0.0, 0.04, 101)
-        values = payoff(market_flat, caplet, [rates])
+        values = PdeModel(market_flat, caplet).payoff((rates, 1.0))
         assert values.min() == 0.0
         assert np.all(values >= 0.0)
 
     def test_swaption_at_strike_everywhere(self, market_sv, swaption3):
-        assert payoff(market_sv, swaption3, [0.011, 0.011]) == 0.0
+        assert PdeModel(market_sv, swaption3).payoff((0.011, 0.011, 1.0)) == 0.0
 
     def test_swaption_zero_rates_clipped(self, market_sv, swaption3):
-        assert payoff(market_sv, swaption3, [0.0, 0.0]) == 0.0
+        assert PdeModel(market_sv, swaption3).payoff((0.0, 0.0, 1.0)) == 0.0
 
     def test_swaption_annuity_sum(self, market_sv, swaption3):
         f1, f2 = 0.02, 0.03
         p1 = 1 + 0.5 * f1
         p2 = p1 * (1 + 0.5 * f2)
         expected = 0.5 * (f1 - 0.011) / p1 + 0.5 * (f2 - 0.011) / p2
-        assert payoff(market_sv, swaption3, [f1, f2]) == pytest.approx(expected, rel=1e-14)
+        assert PdeModel(market_sv, swaption3).payoff((f1, f2, 1.0)) == pytest.approx(expected, rel=1e-14)
 
     def test_product_discount_conventions(self, market_flat, caplet, swaption3):
         assert product_discount(market_flat, caplet) == market_flat.discount_factor(2)

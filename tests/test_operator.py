@@ -27,7 +27,6 @@ from ratespde import (
     initial_state,
     integrate,
     interpolate,
-    payoff,
 )
 
 from conftest import make_market, threads_at_forks
@@ -114,6 +113,18 @@ class TestInitialState:
         shape = GridShape((4, 5, 6), (0.04, 0.04, 3.5))
         state = initial_state(market_sv, swaption3, shape)
         assert state.values[0] == 0.0
+
+    @pytest.mark.parametrize("counts", [(4, 5, 6), (3, 4, 5, 2)])
+    def test_every_node_holds_the_payoff_at_its_point(self, market_sv, counts):
+        # a different count per direction, so a node that read another
+        # direction's coordinates would hold another value
+        product = ProductSpec(SWAPTION, 1, len(counts))
+        shape = GridShape(counts, (0.04,) * (len(counts) - 1) + (3.5,))
+        state = initial_state(market_sv, product, shape)
+        model = PdeModel(market_sv, product)
+        assert state.values.max() > 0.0
+        for flat in range(shape.total_points):
+            assert state.values[flat] == model.payoff(shape.coordinate(shape.node_map.decode(flat)))
 
     def test_dimension_mismatch(self, market_flat, caplet):
         with pytest.raises(ValueError):
@@ -325,7 +336,7 @@ class TestDirectionalSolve:
         eye = np.eye(op.shape.total_points)
         if counts == (32, 32):
             f, v = op.shape.axis_coordinates(1)[1:], op.shape.axis_coordinates(2)[1:]
-            d = op.model.diffusion(1, f[:, None], v[None, :])
+            d = op.model.diffusion(1, (f[None, :], v[:, None]))
             assert d.max() / d.min() >= 1e6
         for i in range(1, op.n_directions + 1):
             a_i = assemble_directional_matrix(op, i).toarray()
@@ -441,8 +452,8 @@ class TestDirectionalSolve:
         op, *_ = make_operator((16384, 1))
         assert op.shape.total_points == 32_770
         g = np.random.default_rng(7).normal(size=op.shape.total_points) * inner_mask(op.shape)
-        v = op.shape.axis_coordinates(2)[1:]
-        r = 1.0 / (op.model.diffusion(2, v, v) / op.shape.spacings[1] ** 2)
+        f, v = op.shape.axis_coordinates(1)[1:], op.shape.axis_coordinates(2)[1:]
+        r = 1.0 / (op.model.diffusion(2, (f, v)) / op.shape.spacings[1] ** 2)
         r *= 0.5
         w = 0.3
         rows = g.reshape(op.shape.reversed_points)[1:, 1:]
