@@ -274,7 +274,10 @@ class PdeModel:
             if not 1 <= i <= self.n_dims:
                 raise ValueError(f"direction {i} outside 1..{self.n_dims}")
         if len(x) != self.n_dims:
-            raise ValueError(f"a point has {self.n_dims} coordinates, got {len(x)}")
+            raise ValueError(
+                f"expected forwards F_1..F_{self.n_dims - 1} and V, one value per direction: "
+                f"a point has {self.n_dims} coordinates, got {len(x)}"
+            )
         return [np.asarray(c, dtype=float) for c in x]
 
 

@@ -129,9 +129,9 @@ class TestMarketData:
         (lambda m: PdeModel(m, ProductSpec(SWAPTION, 1, 3)).mixed(1, 2, (0.01, 0.01, 0.01, 1.0)),
          ValueError, "a point has 3 coordinates, got 4"),
         (lambda m: PdeModel(m, ProductSpec(SWAPTION, 1, 3)).advection(2, (0.01, 1.0)), ValueError,
-         "a point has 3 coordinates, got 2"),
+         "expected forwards F_1..F_2 and V, one value per direction: a point has 3 coordinates, got 2"),
         (lambda m: PdeModel(m, ProductSpec(CAPLET, 1, 2)).payoff((0.01, 0.02, 1.0)), ValueError,
-         "a point has 2 coordinates, got 3"),
+         "one value per direction: a point has 2 coordinates, got 3"),
     ])
     def test_bad_call_rejected_with_cause(self, market_flat, call, error, cause):
         with pytest.raises(error, match=cause):
